@@ -1,25 +1,22 @@
-"""SCALE — the 1k-worker engine comparison and the 10k-worker completion check.
+"""SCALE — the 1k-worker tier and the 10k-worker completion check.
 
-This growth round's tentpole replaced the per-worker nested-dict completion
-state with one process-wide interned trie arena
-(:class:`repro.core.arena.TrieArena`) and added a sharded engine for runs
-that outgrow one event loop.  This file makes the scale claim reproducible
-and keeps it on the tracked performance trajectory:
+Simulated runs keep every worker's completed table and per-peer gossip views
+in one process-wide interned trie arena
+(:class:`repro.core.arena.TrieArena`).  This file makes the scale claim
+reproducible and keeps it on the tracked performance trajectory:
 
-* ``test_scale_1k_arena`` / ``test_scale_1k_legacy`` run the acceptance
-  scenario — 1,000 workers racing a 2,001-node random tree (0.05 s mean node
-  time, depth-first, pruning off) — once per engine.  Both are tracked in
-  ``BENCH_BASELINE.json`` via ``compare_baseline.py``, so the recorded
-  baseline *is* the engine-vs-engine record (arena ≥2× faster at this size
-  when the baseline was anchored) and any regression of either engine trips
-  the same gate as the other tracked benchmarks.
-* ``test_scale_speedup_and_rss`` (full-scale mode only) re-runs both engines
-  in fresh subprocesses — the only way to get honest per-engine peak-RSS
-  numbers — prints the comparison table, and then climbs the completion
-  ladder: **5,000 and 10,000 workers** on the full 3,501-node Figure 3
-  workload, arena engine, reporting makespan, wall clock and peak RSS.
+* ``test_scale_1k_arena`` runs the acceptance scenario — 1,000 workers
+  racing a 2,001-node random tree (0.05 s mean node time, depth-first,
+  pruning off) — and is tracked in ``BENCH_BASELINE.json`` via
+  ``compare_baseline.py``, so a regression of the engine trips the same gate
+  as the other tracked benchmarks.
+* ``test_scale_tier_and_ladder`` (full-scale mode only) re-runs the tier in a
+  fresh subprocess — the only way to get an honest peak-RSS number — and
+  then climbs the completion ladder: **5,000 and 10,000 workers** on the
+  full 3,501-node Figure 3 workload, reporting makespan, wall clock and peak
+  RSS.
 
-``python benchmarks/bench_scale.py`` runs the full-scale comparison directly
+``python benchmarks/bench_scale.py`` runs the full-scale measurement directly
 (no pytest needed); ``REPRO_BENCH_SCALE`` shrinks the tier for quick local
 iteration (e.g. ``0.2`` → 200 workers / 401 nodes), but the checked-in
 baseline corresponds to the default full tier.
@@ -48,8 +45,8 @@ TIER_WORKERS = 1000
 #: Run seed (worker placement, gossip fanout) and tree seed.
 RUN_SEED = 3
 TREE_SEED = 42
-#: Full-scale completion ladder: arena-engine runs on the paper's Figure 3
-#: tree at each rung, topping out at 10k workers.
+#: Full-scale completion ladder: runs on the paper's Figure 3 tree at each
+#: rung, topping out at 10k workers.
 LADDER_WORKERS = (5_000, 10_000)
 
 _FULL_SCALE = os.environ.get("REPRO_FULL_SCALE") == "1"
@@ -73,7 +70,7 @@ def tier_tree(workers: int):
     )
 
 
-def run_engine(tree, workers: int, use_arena: bool):
+def run_engine(tree, workers: int):
     """One deterministic run of the distributed algorithm on ``tree``."""
     return run_tree_simulation(
         tree,
@@ -82,7 +79,6 @@ def run_engine(tree, workers: int, use_arena: bool):
         seed=RUN_SEED,
         prune=False,
         compute_uniprocessor_time=False,
-        use_arena=use_arena,
     )
 
 
@@ -97,17 +93,7 @@ def test_scale_1k_arena(benchmark):
     workers = tier_workers()
     tree = tier_tree(workers)
     result = benchmark.pedantic(
-        lambda: run_engine(tree, workers, True), rounds=1, iterations=1
-    )
-    _check(result)
-
-
-@pytest.mark.benchmark(group="scale")
-def test_scale_1k_legacy(benchmark):
-    workers = tier_workers()
-    tree = tier_tree(workers)
-    result = benchmark.pedantic(
-        lambda: run_engine(tree, workers, False), rounds=1, iterations=1
+        lambda: run_engine(tree, workers), rounds=1, iterations=1
     )
     _check(result)
 
@@ -115,19 +101,18 @@ def test_scale_1k_legacy(benchmark):
 # ---------------------------------------------------------------------- #
 # Subprocess measurement (full-scale mode)
 # ---------------------------------------------------------------------- #
-def _measure_subprocess(engine: str, workers: int, workload: str) -> dict:
-    """Run one engine in a fresh interpreter and collect wall/RSS/makespan.
+def _measure_subprocess(workers: int, workload: str) -> dict:
+    """Run one workload in a fresh interpreter and collect wall/RSS/makespan.
 
-    A child process is the only way to attribute peak RSS to one engine:
+    A child process is the only way to attribute peak RSS to one run:
     ``ru_maxrss`` is a process-wide high-water mark, so in-process
-    back-to-back runs would charge the first engine's peak to both.
+    back-to-back runs would charge the first run's peak to both.
     """
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", engine,
-         str(workers), workload],
+        [sys.executable, os.path.abspath(__file__), "--child", str(workers), workload],
         check=True,
         capture_output=True,
         text=True,
@@ -136,7 +121,7 @@ def _measure_subprocess(engine: str, workers: int, workload: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _child(engine: str, workers: int, workload: str) -> None:
+def _child(workers: int, workload: str) -> None:
     from repro.obs import MetricsRegistry, RssSampler
 
     if workload == "figure3":
@@ -144,14 +129,14 @@ def _child(engine: str, workers: int, workload: str) -> None:
     else:
         tree = tier_tree(workers)
     registry = MetricsRegistry()
-    gauge = registry.gauge("process_rss_mb", engine=engine)
+    gauge = registry.gauge("process_rss_mb", workload=workload)
     start = time.perf_counter()
     # Peak-over-time via the telemetry registry: a sampler thread reads
     # /proc/self/statm during the run, so the reported peak reflects this
-    # engine's working set, not whatever the interpreter touched before or
+    # run's working set, not whatever the interpreter touched before or
     # after.  ``ru_maxrss`` stays as the fallback when /proc is unreadable.
     with RssSampler(gauge) as sampler:
-        result = run_engine(tree, workers, use_arena=(engine == "arena"))
+        result = run_engine(tree, workers)
     wall = time.perf_counter() - start
     peak_mb = sampler.peak_mb
     if not peak_mb:
@@ -159,7 +144,7 @@ def _child(engine: str, workers: int, workload: str) -> None:
     print(
         json.dumps(
             {
-                "engine": engine,
+                "workload": workload,
                 "workers": workers,
                 "tree_nodes": len(tree),
                 "wall_s": round(wall, 2),
@@ -176,31 +161,25 @@ def _child(engine: str, workers: int, workload: str) -> None:
 
 def _row(m: dict) -> str:
     return (
-        f"{m['engine']:<7} {m['workers']:>7,} {m['tree_nodes']:>7,}"
+        f"{m['workload']:<8} {m['workers']:>7,} {m['tree_nodes']:>7,}"
         f" {m['wall_s']:>9.2f}s {m['peak_rss_mb']:>9.1f}MB"
         f" {m['makespan']:>9.3f} {m['events_processed']:>12,}"
     )
 
 
 def run_full_scale(include_ladder: bool = True) -> dict:
-    """The full-scale comparison + completion ladder; returns the metrics."""
+    """The full-scale tier + completion ladder; returns the metrics."""
     workers = tier_workers()
-    arena = _measure_subprocess("arena", workers, "tier")
-    legacy = _measure_subprocess("legacy", workers, "tier")
-    speedup = legacy["wall_s"] / arena["wall_s"]
-    rss_ratio = legacy["peak_rss_mb"] / arena["peak_rss_mb"]
+    tier = _measure_subprocess(workers, "tier")
     header = (
-        f"{'engine':<7} {'workers':>7} {'nodes':>7} {'wall':>10} {'peak RSS':>11}"
+        f"{'workload':<8} {'workers':>7} {'nodes':>7} {'wall':>10} {'peak RSS':>11}"
         f" {'makespan':>9} {'events':>12}"
     )
-    lines = [header, _row(arena), _row(legacy), "",
-             f"wall-clock speedup (legacy/arena): {speedup:.2f}x",
-             f"peak-RSS ratio    (legacy/arena): {rss_ratio:.2f}x"]
+    lines = [header, _row(tier)]
     ladder = []
     if include_ladder:
-        lines += ["", "figure-3 completion ladder (arena engine):"]
         for rung in LADDER_WORKERS:
-            measurement = _measure_subprocess("arena", rung, "figure3")
+            measurement = _measure_subprocess(rung, "figure3")
             ladder.append(measurement)
             lines.append(_row(measurement))
     print_experiment(
@@ -209,37 +188,26 @@ def run_full_scale(include_ladder: bool = True) -> dict:
            if include_ladder else ""),
         "\n".join(lines),
     )
-    return {"arena": arena, "legacy": legacy, "speedup": speedup,
-            "rss_ratio": rss_ratio, "ladder": ladder}
+    return {"tier": tier, "ladder": ladder}
 
 
 @pytest.mark.skipif(not _FULL_SCALE, reason="set REPRO_FULL_SCALE=1 (slow)")
-def test_scale_speedup_and_rss():
+def test_scale_tier_and_ladder():
     metrics = run_full_scale(include_ladder=True)
-    arena, legacy = metrics["arena"], metrics["legacy"]
-    assert arena["terminated"] and legacy["terminated"]
-    # Identical simulated outcome: the arena changes representation, never
-    # behaviour.
-    assert arena["makespan"] == pytest.approx(legacy["makespan"])
-    assert arena["events_processed"] == legacy["events_processed"]
-    # The recorded claim is ~2x wall and ~3x RSS at the 1k tier; the assert
-    # floors sit below that so machine noise cannot flake the run while a
-    # real regression of the arena engine still fails loudly.
-    assert metrics["speedup"] >= 1.5
-    assert metrics["rss_ratio"] >= 1.5
+    assert metrics["tier"]["terminated"]
     assert len(metrics["ladder"]) == len(LADDER_WORKERS)
     assert all(m["terminated"] for m in metrics["ladder"])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--child", nargs=3, metavar=("ENGINE", "WORKERS", "WORKLOAD"))
+    parser.add_argument("--child", nargs=2, metavar=("WORKERS", "WORKLOAD"))
     parser.add_argument("--no-ladder", "--no-10k", action="store_true",
                         help="skip the 5k/10k-worker completion ladder")
     args = parser.parse_args(argv)
     if args.child:
-        engine, workers, workload = args.child
-        _child(engine, int(workers), workload)
+        workers, workload = args.child
+        _child(int(workers), workload)
         return 0
     run_full_scale(include_ladder=not args.no_ladder)
     return 0

@@ -1,9 +1,8 @@
 """TEL-OVH — telemetry must be free when it is off.
 
 The observability subsystem (``repro.obs``) threads tracer and metrics hooks
-through the engine, the gossip layer, the network boundary and the sharded
-coordinator.  Every hot-path hook is one attribute check (``if tracer is not
-None``), so a run that never asked for telemetry must cost the same as one
+through the engine, the gossip layer and the network boundary.  Every
+hot-path hook is one attribute check (``if tracer is not None``), so a run that never asked for telemetry must cost the same as one
 built before the subsystem existed.  This benchmark runs the figure-3
 workload three ways —
 

@@ -34,7 +34,7 @@ from ..core.encoding import PathCode
 from ..simulation.engine import SimulationEngine
 from ..simulation.entity import Entity, QueuedMessage
 from ..simulation.failures import CrashEvent, FailureInjector
-from ..simulation.network import LatencyModel, Network, Partition
+from ..simulation.network import Network
 from ..simulation.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -386,8 +386,6 @@ def run_central_simulation(
     *,
     failures: Sequence[CrashEvent] = (),
     seed: int = 0,
-    latency: Optional[LatencyModel] = None,
-    loss_probability: float = 0.0,
     network: Optional["NetworkConfig"] = None,
     max_sim_time: float = 10_000.0,
     reassign_timeout: float = 2.0,
@@ -399,25 +397,24 @@ def run_central_simulation(
     ``max_sim_time`` without terminating.
 
     ``network`` takes a full :class:`~repro.distributed.runner.NetworkConfig`
-    (latency, loss *and* partitions) and supersedes the older ``latency`` /
-    ``loss_probability`` keywords, which are kept as deprecated shims for one
-    release.  This function itself is superseded by the unified Scenario API
-    (``repro.scenario``, backend ``"central"``); prefer that for experiments.
+    (latency, loss *and* partitions); ``None`` is the paper-default lossless
+    network without partitions.  This function itself is superseded by the
+    unified Scenario API (``repro.scenario``, backend ``"central"``); prefer
+    that for experiments.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
-    partitions: Sequence[Partition] = ()
-    if network is not None:
-        latency = network.latency
-        loss_probability = network.loss_probability
-        partitions = network.partitions
+    if network is None:
+        from ..distributed.runner import NetworkConfig
+
+        network = NetworkConfig.paper_default()
     rng = RngRegistry(seed)
     engine = SimulationEngine()
     net = Network(
         engine,
-        latency=latency if latency is not None else LatencyModel.paper_default(),
-        loss_probability=loss_probability,
-        partitions=partitions,
+        latency=network.latency,
+        loss_probability=network.loss_probability,
+        partitions=network.partitions,
         rng=rng.stream("network"),
     )
     net.classify = central_message_kind

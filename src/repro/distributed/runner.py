@@ -22,7 +22,7 @@ from ..obs.ingest import ingest_run_result
 from ..simulation.engine import SimulationEngine
 from ..simulation.failures import ChurnInjector, CrashEvent, FailureInjector
 from ..simulation.metrics import MetricsCollector
-from ..simulation.network import LatencyModel, Network, Partition, TrafficStats
+from ..simulation.network import LatencyModel, Network, Partition
 from ..simulation.rng import RngRegistry
 from ..simulation.tracing import TimelineTrace
 from .config import AlgorithmConfig
@@ -33,7 +33,6 @@ from .worker import WorkerEntity
 __all__ = [
     "NetworkConfig",
     "DistributedBnBSimulation",
-    "assemble_run_result",
     "run_tree_simulation",
     "sequential_reference_time",
     "worker_names",
@@ -60,105 +59,6 @@ class NetworkConfig:
         return cls()
 
 
-def assemble_run_result(
-    workers: Sequence[WorkerEntity],
-    *,
-    n_workers: int,
-    end_time: float,
-    problem: BranchAndBoundProblem,
-    reference_optimum: Optional[float],
-    uniprocessor_time: Optional[float],
-    metrics: MetricsCollector,
-    network_stats: Optional[TrafficStats],
-    kind_bytes: Optional[Dict[str, int]] = None,
-    trace: Optional[TimelineTrace] = None,
-    engine_counters: Optional[Dict[str, int]] = None,
-) -> RunResult:
-    """Aggregate per-worker outcomes into a :class:`RunResult`.
-
-    Shared by the single-engine runner and the sharded engine (which passes
-    the union of all shards' workers plus merged network statistics).
-    """
-    worker_stats: Dict[str, WorkerRunStats] = {}
-    crashed: List[str] = []
-    best_value: Optional[float] = None
-    all_terminated = True
-    makespan = 0.0
-    total_expanded = 0
-    total_bb_time = 0.0
-    expanded_union: set = set()
-    expanded_total_codes = 0
-
-    for worker in workers:
-        stats = worker.finalize_stats()
-        worker_stats[worker.name] = stats
-        total_expanded += stats.nodes_expanded
-        total_bb_time += stats.time.get("bb", 0.0)
-        expanded_union |= worker._expanded_codes
-        expanded_total_codes += len(worker._expanded_codes)
-        if stats.crashed:
-            crashed.append(worker.name)
-            continue
-        if not stats.terminated:
-            all_terminated = False
-        if stats.terminated_at is not None:
-            makespan = max(makespan, stats.terminated_at)
-        if stats.best_value is not None:
-            if best_value is None or problem.is_improvement(stats.best_value, best_value):
-                best_value = stats.best_value
-
-    if makespan == 0.0:
-        makespan = end_time
-
-    messages_by_kind: Dict[str, int] = {
-        "work_requests": 0,
-        "work_grants": 0,
-        "work_denials": 0,
-        "work_reports": 0,
-        "table_gossips": 0,
-        "delta_gossips": 0,
-        "gossip_acks": 0,
-        "heartbeats": 0,
-    }
-    counters = dict(engine_counters) if engine_counters else {}
-    entity_steps = 0
-    for worker in workers:
-        stats = worker.stats
-        messages_by_kind["work_requests"] += stats.work_requests_sent
-        messages_by_kind["work_grants"] += stats.work_grants_sent
-        messages_by_kind["work_denials"] += stats.work_denials_sent
-        messages_by_kind["work_reports"] += stats.reports_sent
-        messages_by_kind["table_gossips"] += stats.table_gossips_sent
-        messages_by_kind["delta_gossips"] += stats.delta_gossips_sent
-        messages_by_kind["gossip_acks"] += stats.gossip_acks_sent
-        messages_by_kind["heartbeats"] += stats.heartbeats_sent
-        entity_steps += stats.entity_steps
-    counters["entity_steps"] = entity_steps
-
-    redundant_nodes = expanded_total_codes - len(expanded_union)
-
-    return RunResult(
-        n_workers=n_workers,
-        makespan=makespan,
-        best_value=best_value,
-        reference_optimum=reference_optimum,
-        all_terminated=all_terminated,
-        crashed_workers=crashed,
-        workers=worker_stats,
-        total_nodes_expanded=total_expanded,
-        redundant_nodes_expanded=max(0, redundant_nodes),
-        total_bb_time=total_bb_time,
-        uniprocessor_time=uniprocessor_time,
-        metrics=metrics,
-        network=network_stats,
-        total_bytes_sent=network_stats.bytes_sent if network_stats is not None else 0,
-        messages_by_kind=messages_by_kind,
-        bytes_by_kind=dict(kind_bytes) if kind_bytes else {},
-        trace=trace,
-        engine_counters=counters,
-    )
-
-
 class DistributedBnBSimulation:
     """Builds and runs one simulated distributed B&B execution."""
 
@@ -177,7 +77,6 @@ class DistributedBnBSimulation:
         expected_node_cost: float = 0.0,
         max_sim_time: Optional[float] = None,
         max_events: Optional[int] = None,
-        use_arena: bool = True,
         telemetry: Optional[TelemetryConfig] = None,
         churn_events: Sequence[Tuple[float, str, str]] = (),
         churn_mode: str = "restart",
@@ -188,7 +87,6 @@ class DistributedBnBSimulation:
         self.problem = problem
         self.n_workers = n_workers
         self.expected_node_cost = expected_node_cost
-        self.use_arena = use_arena
         self.config = config if config is not None else AlgorithmConfig.paper_default()
         self.network_config = network if network is not None else NetworkConfig.paper_default()
         self.failures = list(failures)
@@ -260,7 +158,7 @@ class DistributedBnBSimulation:
         # One process-wide arena: every worker's completed table and all of
         # its per-peer gossip views intern their trie nodes here, so shared
         # completion state is stored once instead of once per view.
-        arena = TrieArena() if self.use_arena else None
+        arena = TrieArena()
         self.workers = []
         self._stop_scan = 0
         for index, name in enumerate(names):
@@ -341,23 +239,92 @@ class DistributedBnBSimulation:
     # Result assembly
     # ------------------------------------------------------------------ #
     def _collect_results(self, end_time: float) -> RunResult:
+        """Aggregate per-worker outcomes into a :class:`RunResult`."""
         assert self.net is not None and self.engine is not None
-        return assemble_run_result(
-            self.workers,
+        workers = self.workers
+        problem = self.problem
+        network_stats = self.net.stats
+        worker_stats: Dict[str, WorkerRunStats] = {}
+        crashed: List[str] = []
+        best_value: Optional[float] = None
+        all_terminated = True
+        makespan = 0.0
+        total_expanded = 0
+        total_bb_time = 0.0
+        expanded_union: set = set()
+        expanded_total_codes = 0
+
+        for worker in workers:
+            stats = worker.finalize_stats()
+            worker_stats[worker.name] = stats
+            total_expanded += stats.nodes_expanded
+            total_bb_time += stats.time.get("bb", 0.0)
+            expanded_union |= worker._expanded_codes
+            expanded_total_codes += len(worker._expanded_codes)
+            if stats.crashed:
+                crashed.append(worker.name)
+                continue
+            if not stats.terminated:
+                all_terminated = False
+            if stats.terminated_at is not None:
+                makespan = max(makespan, stats.terminated_at)
+            if stats.best_value is not None:
+                if best_value is None or problem.is_improvement(stats.best_value, best_value):
+                    best_value = stats.best_value
+
+        if makespan == 0.0:
+            makespan = end_time
+
+        messages_by_kind: Dict[str, int] = {
+            "work_requests": 0,
+            "work_grants": 0,
+            "work_denials": 0,
+            "work_reports": 0,
+            "table_gossips": 0,
+            "delta_gossips": 0,
+            "gossip_acks": 0,
+            "heartbeats": 0,
+        }
+        counters = {
+            "events_processed": self.engine.events_processed,
+            "peak_heap_len": self.engine.peak_heap_len,
+            "compactions": self.engine.compactions,
+        }
+        entity_steps = 0
+        for worker in workers:
+            stats = worker.stats
+            messages_by_kind["work_requests"] += stats.work_requests_sent
+            messages_by_kind["work_grants"] += stats.work_grants_sent
+            messages_by_kind["work_denials"] += stats.work_denials_sent
+            messages_by_kind["work_reports"] += stats.reports_sent
+            messages_by_kind["table_gossips"] += stats.table_gossips_sent
+            messages_by_kind["delta_gossips"] += stats.delta_gossips_sent
+            messages_by_kind["gossip_acks"] += stats.gossip_acks_sent
+            messages_by_kind["heartbeats"] += stats.heartbeats_sent
+            entity_steps += stats.entity_steps
+        counters["entity_steps"] = entity_steps
+
+        redundant_nodes = expanded_total_codes - len(expanded_union)
+
+        return RunResult(
             n_workers=self.n_workers,
-            end_time=end_time,
-            problem=self.problem,
+            makespan=makespan,
+            best_value=best_value,
             reference_optimum=self.reference_optimum,
+            all_terminated=all_terminated,
+            crashed_workers=crashed,
+            workers=worker_stats,
+            total_nodes_expanded=total_expanded,
+            redundant_nodes_expanded=max(0, redundant_nodes),
+            total_bb_time=total_bb_time,
             uniprocessor_time=self.uniprocessor_time,
             metrics=self.metrics,
-            network_stats=self.net.stats,
-            kind_bytes=self.net.kind_bytes,
+            network=network_stats,
+            total_bytes_sent=network_stats.bytes_sent,
+            messages_by_kind=messages_by_kind,
+            bytes_by_kind=dict(self.net.kind_bytes),
             trace=self.trace,
-            engine_counters={
-                "events_processed": self.engine.events_processed,
-                "peak_heap_len": self.engine.peak_heap_len,
-                "compactions": self.engine.compactions,
-            },
+            engine_counters=counters,
         )
 
     def _build_telemetry(
@@ -434,9 +401,6 @@ def run_tree_simulation(
     max_events: Optional[int] = None,
     uniprocessor_time: Optional[float] = None,
     compute_uniprocessor_time: bool = True,
-    use_arena: bool = True,
-    shards: int = 1,
-    shard_processes: Optional[bool] = None,
     telemetry: Optional[TelemetryConfig] = None,
     churn_events: Sequence[Tuple[float, str, str]] = (),
     churn_mode: str = "restart",
@@ -451,50 +415,12 @@ def run_tree_simulation(
     otherwise it is measured with a sequential pruned run unless
     ``compute_uniprocessor_time`` is disabled.
 
-    ``shards > 1`` partitions the workers across that many simulation shards
-    with deterministic cross-shard message exchange
-    (:mod:`repro.simulation.sharding`); ``shard_processes`` selects OS
-    processes (``None`` picks them automatically on multi-core hosts).
-
     As an *experiment-facing* entry point this is superseded by the unified
     Scenario API (``repro.scenario``, backend ``"simulated"``), which wraps
     it; it remains the supported programmatic runner underneath.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
-    if shards > n_workers:
-        raise ValueError(
-            f"cannot split {n_workers} worker(s) across {shards} shards: "
-            "each shard needs at least one worker (reduce --shards or raise workers)"
-        )
-    if shards > 1 and (churn_events or worker_speeds):
-        raise ValueError(
-            "churn/worker speeds are not supported with shards > 1 "
-            "(the failure detector and rejoin path need the single-process engine)"
-        )
     if uniprocessor_time is None and compute_uniprocessor_time:
         uniprocessor_time = sequential_reference_time(tree, granularity=granularity, prune=prune)
-    if shards > 1:
-        from ..simulation.sharding import run_sharded_tree_simulation
-
-        return run_sharded_tree_simulation(
-            tree,
-            n_workers,
-            shards=shards,
-            processes=shard_processes,
-            config=config,
-            network=network,
-            failures=failures,
-            seed=seed,
-            granularity=granularity,
-            prune=prune,
-            enable_trace=enable_trace,
-            max_sim_time=max_sim_time,
-            max_events=max_events,
-            uniprocessor_time=uniprocessor_time,
-            use_arena=use_arena,
-            telemetry=telemetry,
-        )
     problem = TreeReplayProblem(tree, granularity=granularity, prune=prune)
     expected_node_cost = tree.mean_node_time() * granularity
     sim = DistributedBnBSimulation(
@@ -510,7 +436,6 @@ def run_tree_simulation(
         expected_node_cost=expected_node_cost,
         max_sim_time=max_sim_time,
         max_events=max_events,
-        use_arena=use_arena,
         telemetry=telemetry,
         churn_events=churn_events,
         churn_mode=churn_mode,

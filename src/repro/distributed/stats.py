@@ -157,9 +157,8 @@ class RunResult:
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Optional execution timeline (Figures 5/6).
     trace: Optional[TimelineTrace] = None
-    #: Engine-level scale counters: ``events_processed``, ``peak_heap_len``
-    #: and ``entity_steps`` (summed across shards when the run was sharded;
-    #: ``peak_heap_len`` is the max over shards).
+    #: Engine-level scale counters: ``events_processed``, ``peak_heap_len``,
+    #: ``compactions`` and ``entity_steps``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: Collected run telemetry (a :class:`repro.obs.Telemetry`) when the run
     #: was started with a telemetry config; ``None`` otherwise.

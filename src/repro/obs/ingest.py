@@ -5,8 +5,8 @@ knows the shapes of the codebase's scattered counters and folds each of them
 in under stable metric names:
 
 * ``engine_*`` — the engine-level scale counters
-  (``RunResult.engine_counters``: events, peak heap, compactions, and the
-  sharded engine's epoch/cross-shard statistics);
+  (``RunResult.engine_counters``: events, peak heap, compactions and
+  entity steps);
 * ``net_*`` — the simulated network's
   :class:`~repro.simulation.network.TrafficStats` plus the per-kind byte and
   message maps (labeled ``kind=...``);
@@ -64,7 +64,7 @@ _WORKER_COUNTERS = (
 )
 
 #: Engine counters that are high-water marks, not sums.
-_ENGINE_GAUGES = ("peak_heap_len", "shards")
+_ENGINE_GAUGES = ("peak_heap_len",)
 
 
 def ingest_engine_counters(

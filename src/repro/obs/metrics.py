@@ -3,11 +3,11 @@
 Before this module, each layer kept its own ad-hoc counters:
 ``RunResult.engine_counters``, the network's
 :class:`~repro.simulation.network.TrafficStats`, the per-worker
-:class:`~repro.distributed.stats.WorkerRunStats`, the realexec router's
-per-link byte maps and the sharded engine's epoch statistics.  A
-:class:`MetricsRegistry` gives them one shared shape: **counters**, **gauges**
-and **histograms**, each keyed by a metric name plus sorted labels (the
-conventional ``worker`` / ``shard`` / ``kind`` labels of this codebase), with
+:class:`~repro.distributed.stats.WorkerRunStats` and the realexec router's
+per-link byte maps.  A :class:`MetricsRegistry` gives them one shared shape:
+**counters**, **gauges** and **histograms**, each keyed by a metric name plus
+sorted labels (the conventional ``worker`` / ``link`` / ``kind`` labels of
+this codebase), with
 
 * :meth:`MetricsRegistry.snapshot` — a plain nested dict (JSON/pickle
   friendly, used to ship per-process registries across the wire);

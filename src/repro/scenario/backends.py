@@ -254,7 +254,6 @@ class SimulatedBackend:
             max_sim_time=scenario.max_sim_time,
             max_events=scenario.max_events,
             compute_uniprocessor_time=False,
-            shards=scenario.shards,
         ).makespan
 
     def run(self, scenario: Scenario) -> ScenarioResult:
@@ -302,7 +301,6 @@ class SimulatedBackend:
             compute_uniprocessor_time=(
                 scenario.compute_uniprocessor_time and scenario.uniprocessor_time is None
             ),
-            shards=scenario.shards,
             telemetry=scenario.telemetry,
         )
         if result.telemetry is not None:

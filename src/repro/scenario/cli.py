@@ -108,8 +108,6 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
             changes["wire_generations"] = None
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
-    if getattr(args, "shards", None) is not None:
-        changes["shards"] = args.shards
     if getattr(args, "transport", None) is not None:
         changes["transport"] = args.transport
     if getattr(args, "scale", None) is not None:
@@ -134,11 +132,6 @@ def _transport_names() -> tuple:
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="override the worker count")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        help="partition the simulated run across N engine shards (simulated backend)",
-    )
     parser.add_argument(
         "--transport", choices=_transport_names(), help="realexec transport override"
     )
@@ -325,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc.args[0]}")
         return 2
     except ValueError as exc:
-        # Invalid overrides (e.g. --shards exceeding the worker count) must
-        # fail loudly with the validation message, not a traceback.
+        # Invalid overrides (e.g. --workers 0) must fail loudly with the
+        # validation message, not a traceback.
         print(f"error: {exc}")
         return 2

@@ -95,7 +95,7 @@ class ScenarioResult:
     #: Normalised per-worker statistics.
     workers: Dict[str, WorkerSummary] = field(default_factory=dict)
     #: Engine-level scale counters (simulated backend): ``events_processed``,
-    #: ``peak_heap_len``, ``entity_steps`` and — for sharded runs — ``shards``.
+    #: ``peak_heap_len``, ``compactions`` and ``entity_steps``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: The backend-native result object (RunResult, CentralRunResult, …).
     raw: object = None

@@ -471,9 +471,6 @@ class Scenario:
     description: str = ""
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     n_workers: int = 3
-    #: Number of simulation shards the workers are partitioned across
-    #: (simulated backend only; see :mod:`repro.simulation.sharding`).
-    shards: int = 1
     seed: int = 0
     config: AlgorithmConfig = field(default_factory=_default_algorithm_config)
     network: NetworkConfig = field(default_factory=NetworkConfig.paper_default)
@@ -512,16 +509,6 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        if self.shards < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards}")
-        if self.shards > self.n_workers:
-            raise ValueError(
-                f"cannot split {self.n_workers} worker(s) across {self.shards} "
-                "shards: each shard needs at least one worker "
-                "(reduce --shards or raise --workers)"
-            )
-        if self.shards > 1 and self.enable_trace:
-            raise ValueError("tracing (enable_trace) is not supported with shards > 1")
         # The valid transports live in one place: the realexec registry
         # (imported lazily — the spec layer stays import-light).
         from ..realexec.transport import validate_transport
@@ -533,11 +520,6 @@ class Scenario:
             raise ValueError("granularity must be non-negative")
         if self.failures:
             object.__setattr__(self, "failures", tuple(self.failures))
-        if self.churn is not None and self.shards > 1:
-            raise ValueError(
-                "churn is not supported with shards > 1 (the failure detector "
-                "and rejoin path need the single-process engine)"
-            )
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -172,16 +172,6 @@ class SimulationEngine:
         """Number of events still in the heap (including cancelled ones)."""
         return len(self._heap)
 
-    def peek_time(self) -> Optional[float]:
-        """Earliest scheduled event time, or ``None`` for an empty heap.
-
-        Cancelled entries are not skipped — they give a conservative (never
-        late) lower bound, which is what the sharded epoch barrier needs.
-        """
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #

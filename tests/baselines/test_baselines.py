@@ -6,6 +6,7 @@ from repro.baselines.central import run_central_simulation
 from repro.baselines.dib import run_dib_simulation
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.bnb.tree_problem import TreeReplayProblem
+from repro.distributed.runner import NetworkConfig
 from repro.simulation.failures import CrashEvent
 
 
@@ -116,3 +117,30 @@ class TestDibBaseline:
         _tree, problem = workload
         with pytest.raises(ValueError):
             run_dib_simulation(problem, 0)
+
+
+RUNNERS = {"central": run_central_simulation, "dib": run_dib_simulation}
+
+
+class TestNetworkInput:
+    """``network=`` is the baselines' only network input."""
+
+    @pytest.mark.parametrize("keyword", ["latency", "loss_probability"])
+    @pytest.mark.parametrize("baseline", sorted(RUNNERS))
+    def test_per_field_network_keywords_rejected(self, workload, baseline, keyword):
+        _tree, problem = workload
+        with pytest.raises(TypeError):
+            RUNNERS[baseline](problem, 2, **{keyword: 0.0})
+
+    @pytest.mark.parametrize("baseline", sorted(RUNNERS))
+    def test_network_none_is_paper_default(self, workload, baseline):
+        tree, problem = workload
+        default = RUNNERS[baseline](problem, 3, seed=4, max_sim_time=500.0)
+        explicit = RUNNERS[baseline](
+            problem, 3, seed=4, max_sim_time=500.0, network=NetworkConfig.paper_default()
+        )
+        assert default.terminated and explicit.terminated
+        assert correct(default.best_value, tree)
+        assert default.makespan == explicit.makespan
+        assert default.total_bytes_sent == explicit.total_bytes_sent
+        assert default.messages_sent == explicit.messages_sent

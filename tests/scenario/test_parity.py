@@ -167,9 +167,26 @@ class TestChurnParity:
         assert results["simulated"].rejoins == 1
         assert results["simulated"].unavailable_time == pytest.approx(0.7)
 
-    def test_churn_is_rejected_with_shards(self):
-        with pytest.raises(ValueError):
-            CHURN_PARITY.with_overrides(churn=CHURN_CASES["blip"], shards=2)
+    def test_simulated_churn_is_deterministic_given_seed(self):
+        scenario = CHURN_PARITY.with_overrides(churn=CHURN_CASES["drawn"])
+        a = run_scenario(scenario, backend="simulated")
+        b = run_scenario(scenario, backend="simulated")
+        assert a.solved_correctly and b.solved_correctly
+        assert a.makespan == b.makespan
+        assert a.total_nodes_expanded == b.total_nodes_expanded
+        assert (a.evictions, a.rejoins) == (b.evictions, b.rejoins)
+        assert a.raw.engine_counters == b.raw.engine_counters
+
+    def test_simulated_churn_records_a_trace(self):
+        scenario = CHURN_PARITY.with_overrides(
+            churn=CHURN_CASES["blip"], enable_trace=True
+        )
+        result = run_scenario(scenario, backend="simulated")
+        assert result.solved_correctly
+        assert result.rejoins == 1
+        assert result.raw.trace is not None
+        processes = set(result.raw.trace.processes())
+        assert processes and processes <= set(scenario.canonical_worker_names())
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")

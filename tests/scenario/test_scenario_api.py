@@ -88,6 +88,13 @@ class TestScenario:
             Scenario(transport="carrier-pigeon")
         with pytest.raises(ValueError):
             Scenario(n_workers=3, wire_generations=(1, 2))
+        # There is one simulation engine; the spec has no shard count.
+        with pytest.raises(TypeError):
+            Scenario(shards=2)
+
+    def test_with_overrides_rejects_unknown_field(self):
+        with pytest.raises(TypeError):
+            Scenario(n_workers=3).with_overrides(shards=2)
 
     def test_with_overrides_returns_new_frozen_copy(self):
         base = Scenario(n_workers=3)
@@ -192,6 +199,16 @@ class TestCli:
 
     def test_unknown_scenario_exit_code(self, capsys):
         assert cli_main(["run", "no-such-scenario"]) == 2
+
+    def test_invalid_override_exit_code(self, capsys):
+        assert cli_main(["run", "quickstart", "--workers", "0"]) == 2
+        assert "error: n_workers must be at least 1" in capsys.readouterr().out
+
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "quickstart", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_module_entry_point_figure3(self):
         """The acceptance-criterion invocation, scaled down for test speed."""

@@ -103,6 +103,15 @@ class TestEngine:
         engine.drain_cancelled()
         assert engine.pending_events() == 1
 
+    def test_peak_heap_len_is_a_high_water_mark(self):
+        engine = SimulationEngine()
+        for delay in (1.0, 2.0, 3.0):
+            engine.schedule(delay, lambda: None)
+        engine.run()
+        assert engine.pending_events() == 0
+        assert engine.events_processed == 3
+        assert engine.peak_heap_len == 3
+
     def test_handle_metadata(self):
         engine = SimulationEngine()
         handle = engine.schedule(1.5, lambda: None, label="probe")
