@@ -41,7 +41,6 @@ def _config() -> AlgorithmConfig:
     return AlgorithmConfig(
         selection_rule=SelectionRule.DEPTH_FIRST,
         failure_detector=True,
-        termination_echo=True,
         fd_heartbeat_interval=0.1,
         fd_fail_timeout=0.4,
         fd_cleanup_timeout=0.8,

@@ -39,12 +39,12 @@ def test_figures_5_and_6_failure_recovery(benchmark):
         "",
         "FIGURE 5 — no failures:",
         scenario["no_failure_gantt"],
-        format_table(activity_summary(no_failure.trace)),
+        format_table(activity_summary(no_failure.telemetry.tracer)),
         f"makespan {no_failure.makespan:.2f}s, solved correctly: {no_failure.solved_correctly}",
         "",
         "FIGURE 6 — two of three processors crash at ~85% of the execution:",
         scenario["with_failures_gantt"],
-        format_table(activity_summary(with_failures.trace)),
+        format_table(activity_summary(with_failures.telemetry.tracer)),
         format_table([evidence]),
     ]
     print_experiment("FIGURES 5 & 6 — failure recovery on a very small problem", "\n".join(body))

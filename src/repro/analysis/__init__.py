@@ -6,7 +6,7 @@
   compression ablations;
 * :mod:`repro.analysis.tables` — plain-text table rendering;
 * :mod:`repro.analysis.timeline` — timeline digests for the Figures 5/6
-  demonstration.
+  demonstration, read from the run tracer's worker spans.
 """
 
 from .figures import (

@@ -37,6 +37,8 @@ from ..bnb.random_tree import RandomTreeSpec, generate_random_tree
 from ..distributed.config import AlgorithmConfig
 from ..distributed.runner import worker_names
 from ..distributed.stats import RunResult
+from ..obs import TelemetryConfig
+from ..obs.gantt import ascii_gantt, state_intervals
 from ..scenario import (
     CRITICAL,
     FailureSpec,
@@ -272,11 +274,15 @@ def figure56_scenario(
     Runs the very small problem once without failures (Figure 5) and once with
     all processors but one crashing at ``crash_fraction`` of the failure-free
     makespan (Figure 6), and returns both results plus ASCII Gantt charts of
-    the two timelines and the correctness verdicts.
+    the two timelines and the correctness verdicts.  Each result's
+    ``telemetry.tracer`` holds the worker state spans the charts are drawn
+    from.
     """
     tree = tiny_tree(seed=seed)
     cfg = config if config is not None else default_config()
-    base = _tree_scenario(tree, n_workers, cfg, seed, enable_trace=True)
+    base = _tree_scenario(
+        tree, n_workers, cfg, seed, telemetry=TelemetryConfig(trace=True, metrics=False)
+    )
     baseline = _raw_run(base)
     crash_time = crash_fraction * baseline.makespan
     victims = worker_names(n_workers)[1:]
@@ -294,8 +300,8 @@ def figure56_scenario(
         "with_failures": with_failures,
         "crash_time": crash_time,
         "victims": victims,
-        "no_failure_gantt": baseline.trace.ascii_gantt() if baseline.trace else "",
-        "with_failures_gantt": with_failures.trace.ascii_gantt() if with_failures.trace else "",
+        "no_failure_gantt": ascii_gantt(state_intervals(baseline.telemetry.tracer)),
+        "with_failures_gantt": ascii_gantt(state_intervals(with_failures.telemetry.tracer)),
     }
 
 

@@ -2,28 +2,29 @@
 
 Figures 5 and 6 in the paper are Jumpshot screenshots: per-processor activity
 bars over time, before and after injecting the crash of two of the three
-processors.  The simulator records the same information as a
-:class:`~repro.simulation.tracing.TimelineTrace`; this module distils the
-trace into the facts the figures are meant to convey — who was doing what
+processors.  The simulator records the same information as ``worker`` spans
+in the run's :class:`~repro.obs.trace.Tracer` (run with
+``Scenario(telemetry=TelemetryConfig(trace=True))``); this module distils
+them into the facts the figures are meant to convey — who was doing what
 when, when the crashes happened, and that the surviving processor picked up
 the lost work and terminated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..distributed.stats import RunResult
-from ..simulation.tracing import TimelineTrace
+from ..obs.gantt import state_durations, state_intervals
+from ..obs.trace import Tracer
 
 __all__ = ["activity_summary", "recovery_evidence"]
 
 
-def activity_summary(trace: TimelineTrace) -> List[Dict[str, object]]:
-    """One row per process: time spent in each traced state."""
+def activity_summary(tracer: Tracer) -> List[Dict[str, object]]:
+    """One row per process: time spent in each traced worker state."""
     rows: List[Dict[str, object]] = []
-    for process in trace.processes():
-        durations = trace.state_durations(process)
+    for process, durations in sorted(state_durations(state_intervals(tracer)).items()):
         row: Dict[str, object] = {"process": process}
         for state in ("working", "idle", "load_balancing", "recovery", "crashed", "terminated"):
             row[f"{state}_s"] = round(durations.get(state, 0.0), 3)

@@ -351,7 +351,6 @@ class DibWorkerEntity(Entity):
             donated = self.pool.take_for_donation(
                 max_count=self.donation_max,
                 keep_at_least=self.keep_at_least,
-                prefer_shallow=True,
             )
             codes = tuple(sub.code for sub in donated)
             for code in codes:

@@ -186,13 +186,13 @@ class SubproblemPool(Generic[StateT]):
         return len(self) > keep_at_least
 
     def take_for_donation(
-        self, *, max_count: int = 1, keep_at_least: int = 1, prefer_shallow: bool = True
+        self, *, max_count: int = 1, keep_at_least: int = 1
     ) -> List[Subproblem[StateT]]:
         """Remove up to ``max_count`` subproblems to send to a requester.
 
-        Shallow subproblems are preferred by default because they represent
-        larger chunks of work, which keeps load-balancing traffic low — the
-        standard work-stealing heuristic for tree search.
+        The shallowest subproblems are donated because they represent larger
+        chunks of work, which keeps load-balancing traffic low — the standard
+        work-stealing heuristic for tree search.
 
         The donated entries are tombstoned rather than filtered out of the
         heap, so a donation costs one O(n) selection scan instead of a full
@@ -202,11 +202,9 @@ class SubproblemPool(Generic[StateT]):
         count = max(0, min(max_count, available))
         if count == 0:
             return []
-        if prefer_shallow:
-            key = lambda entry: (entry[2].depth, entry[1])
-        else:
-            key = lambda entry: (-entry[2].depth, entry[1])
-        chosen = heapq.nsmallest(count, self._live_entries(), key=key)
+        chosen = heapq.nsmallest(
+            count, self._live_entries(), key=lambda entry: (entry[2].depth, entry[1])
+        )
         tombstones = self._tombstones
         for entry in chosen:
             tombstones.add(entry[1])

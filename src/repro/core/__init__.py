@@ -28,14 +28,13 @@ The classes here are transport-agnostic: the simulated workers in
 from .arena import ArenaCodeSet, TrieArena
 from .codeset import CodeSet, ContractionStats, contract, contract_reference, covers
 from .complement import (
-    SelectionStrategy,
     complement_covers_tree,
     complement_frontier,
     minimal_complement,
     select_recovery_candidate,
 )
 from .completion import CompletionTracker, PeerGossipView
-from .encoding import ROOT, Branch, PathCode, common_prefix_length
+from .encoding import ROOT, Branch, PathCode
 from .recovery import RecoveryDecision, RecoveryPolicy, RecoveryStats
 from .termination import TerminationDetector, is_root_report, make_root_report
 from .work_report import (
@@ -51,7 +50,6 @@ __all__ = [
     "Branch",
     "PathCode",
     "ROOT",
-    "common_prefix_length",
     "CodeSet",
     "ContractionStats",
     "TrieArena",
@@ -59,7 +57,6 @@ __all__ = [
     "contract",
     "contract_reference",
     "covers",
-    "SelectionStrategy",
     "complement_frontier",
     "complement_covers_tree",
     "minimal_complement",

@@ -47,7 +47,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from .arena import ArenaCodeSet, TrieArena
 from .codeset import CodeSet, covers as _covers
-from .complement import SelectionStrategy, complement_frontier, select_recovery_candidate
+from .complement import complement_frontier, select_recovery_candidate
 from .encoding import _CODE_HEADER_BYTES, _PAIR_WIRE_BYTES, PathCode
 from .work_report import (
     BestSolution,
@@ -230,8 +230,6 @@ class CompletionTracker:
         self._last_local_update: float = 0.0
         #: Sequence number for outgoing reports.
         self._sequence = 0
-        #: The last code completed locally (recovery locality hint).
-        self.last_completed: Optional[PathCode] = None
         #: Number of codes learned from remote reports that were already known
         #: (redundant information received) — feeds the storage/communication
         #: accounting in the benchmarks.
@@ -264,7 +262,6 @@ class CompletionTracker:
     def record_completed(self, code: PathCode, *, now: float = 0.0) -> None:
         """Register a subproblem completed by the local B&B loop."""
         self.codes_completed_locally += 1
-        self.last_completed = code
         self._new_local.append(code)
         self._last_local_update = now
         wire = code.wire_size()
@@ -303,24 +300,17 @@ class CompletionTracker:
         now: float = 0.0,
         best: Optional[BestSolution] = None,
         compress: bool = True,
-        compress_against_table: bool = False,
     ) -> WorkReport:
         """Compress the pending codes into a work report and clear the list.
 
-        ``compress_against_table=False`` (the default) reproduces the paper's
-        behaviour: the outgoing list is compressed against itself only.  The
-        ablation benchmarks flip ``compress_against_table`` to measure how
-        much additional suppression the table provides, and set
-        ``compress=False`` to measure the cost of not compressing at all.
+        As in the paper, the outgoing list is compressed against itself
+        only.  The ABL-COMPRESS ablation sets ``compress=False`` to measure
+        the cost of not compressing at all.
         """
         self._sequence += 1
         if compress:
             report = WorkReport.build(
-                self.owner,
-                self._new_local,
-                best=best,
-                known_table=None if not compress_against_table else self.table,
-                sequence=self._sequence,
+                self.owner, self._new_local, best=best, sequence=self._sequence
             )
         else:
             report = WorkReport(
@@ -601,20 +591,10 @@ class CompletionTracker:
         return complement_frontier(self.table)
 
     def choose_recovery_problem(
-        self,
-        *,
-        strategy: SelectionStrategy = SelectionStrategy.DEEPEST,
-        rng=None,
-        exclude: Optional[Iterable[PathCode]] = None,
+        self, *, exclude: Optional[Iterable[PathCode]] = None
     ) -> Optional[PathCode]:
         """Pick an uncompleted subtree to regenerate (``None`` when complete)."""
-        return select_recovery_candidate(
-            self.table,
-            strategy=strategy,
-            last_completed=self.last_completed,
-            rng=rng,
-            exclude=exclude,
-        )
+        return select_recovery_candidate(self.table, exclude=exclude)
 
     # ------------------------------------------------------------------ #
     # Accounting

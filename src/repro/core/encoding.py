@@ -44,7 +44,6 @@ __all__ = [
     "Branch",
     "PathCode",
     "ROOT",
-    "common_prefix_length",
 ]
 
 #: A single branching decision: ``(variable, value)`` with ``value in (0, 1)``.
@@ -376,17 +375,3 @@ class PathCode:
 #: The code of the root problem.
 ROOT = PathCode()
 
-
-def common_prefix_length(a: PathCode, b: PathCode) -> int:
-    """Number of leading decisions the two codes share.
-
-    Used by the recovery policy that prefers re-creating subproblems close to
-    the last problem a worker completed locally (Section 5.3.2 suggests this
-    as a way to reduce redundant work).
-    """
-    n = 0
-    for pa, pb in zip(a.pairs, b.pairs):
-        if pa != pb:
-            break
-        n += 1
-    return n

@@ -16,8 +16,8 @@ implemented here:
 * interrupting redundant recovery work when a later report shows the subtree
   is already completed (handled by the worker, using
   :meth:`RecoveryPolicy.should_abort`); and
-* smarter candidate selection (the strategies in
-  :mod:`repro.core.complement`).
+* choosing the smallest missing subtree as the recovery candidate (see
+  :func:`repro.core.complement.select_recovery_candidate`).
 
 :class:`RecoveryPolicy` encapsulates the thresholds and bookkeeping;
 :class:`RecoveryStats` accumulates the redundant-work accounting reported by
@@ -26,12 +26,10 @@ the benchmarks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from .completion import CompletionTracker
-from .complement import SelectionStrategy
 from .encoding import PathCode
 
 __all__ = ["RecoveryPolicy", "RecoveryStats", "RecoveryDecision"]
@@ -87,27 +85,18 @@ class RecoveryPolicy:
         notes this is the main knob trading recovery latency against redundant
         work ("how soon failure is suspected after a machine unsuccessfully
         tries to get work").
-    idle_time_threshold:
-        Optional additional condition: minimum simulated time the process must
-        have been starved before recovery may run.  ``None`` disables it.
-    strategy:
-        Candidate-selection strategy (see :class:`SelectionStrategy`).
+
+    The optional :attr:`idle_time_threshold` adds a second condition: the
+    minimum time the process must have been starved before recovery may run.
+    The simulated worker sets it before every evaluation from its recent
+    node costs; ``None`` (the default) disables it.
     """
 
-    def __init__(
-        self,
-        *,
-        failed_request_threshold: int = 2,
-        idle_time_threshold: Optional[float] = None,
-        strategy: SelectionStrategy = SelectionStrategy.DEEPEST,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, *, failed_request_threshold: int = 2) -> None:
         if failed_request_threshold < 1:
             raise ValueError("failed_request_threshold must be at least 1")
         self.failed_request_threshold = failed_request_threshold
-        self.idle_time_threshold = idle_time_threshold
-        self.strategy = strategy
-        self._rng = rng
+        self.idle_time_threshold: Optional[float] = None
         self.stats = RecoveryStats()
 
         self._consecutive_failures = 0
@@ -164,11 +153,7 @@ class RecoveryPolicy:
             return RecoveryDecision(None, "tree-complete")
         if not self.should_suspect_loss(now):
             return RecoveryDecision(None, "not-starved")
-        candidate = tracker.choose_recovery_problem(
-            strategy=self.strategy,
-            rng=self._rng,
-            exclude=self.active_recoveries,
-        )
+        candidate = tracker.choose_recovery_problem(exclude=self.active_recoveries)
         if candidate is None:
             return RecoveryDecision(None, "no-candidate")
         return RecoveryDecision(candidate, "starvation")
@@ -210,5 +195,5 @@ class RecoveryPolicy:
     def __repr__(self) -> str:  # pragma: no cover - repr formatting only
         return (
             f"RecoveryPolicy(threshold={self.failed_request_threshold}, "
-            f"strategy={self.strategy.value}, failures={self._consecutive_failures})"
+            f"failures={self._consecutive_failures})"
         )

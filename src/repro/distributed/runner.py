@@ -2,7 +2,7 @@
 
 :class:`DistributedBnBSimulation` builds the whole experiment — engine,
 network (latency / loss / partitions), workers, crash schedule, metrics and
-trace — runs it to termination and returns a
+telemetry — runs it to termination and returns a
 :class:`~repro.distributed.stats.RunResult` with the paper's metrics filled
 in.  :func:`run_tree_simulation` is the one-call convenience wrapper used by
 the examples and most benchmarks.
@@ -24,7 +24,6 @@ from ..simulation.failures import ChurnInjector, CrashEvent, FailureInjector
 from ..simulation.metrics import MetricsCollector
 from ..simulation.network import LatencyModel, Network, Partition
 from ..simulation.rng import RngRegistry
-from ..simulation.tracing import TimelineTrace
 from .config import AlgorithmConfig
 from .messages import MessageKinds
 from .stats import RunResult, WorkerRunStats
@@ -71,7 +70,6 @@ class DistributedBnBSimulation:
         network: Optional[NetworkConfig] = None,
         failures: Iterable[CrashEvent] = (),
         seed: int = 0,
-        enable_trace: bool = False,
         reference_optimum: Optional[float] = None,
         uniprocessor_time: Optional[float] = None,
         expected_node_cost: float = 0.0,
@@ -91,7 +89,6 @@ class DistributedBnBSimulation:
         self.network_config = network if network is not None else NetworkConfig.paper_default()
         self.failures = list(failures)
         self.seed = seed
-        self.enable_trace = enable_trace
         self.reference_optimum = reference_optimum
         self.uniprocessor_time = uniprocessor_time
         self.max_sim_time = max_sim_time
@@ -104,7 +101,6 @@ class DistributedBnBSimulation:
         #: Persistent scan position for :meth:`_stop_condition` (see there).
         self._stop_scan = 0
         self.metrics = MetricsCollector()
-        self.trace: Optional[TimelineTrace] = TimelineTrace() if enable_trace else None
         self.injector = FailureInjector(self.failures)
         #: Non-permanent leave/return schedule (churn); a return resets the
         #: stop-condition scan because a rejoined worker is no longer
@@ -116,17 +112,12 @@ class DistributedBnBSimulation:
             else None
         )
 
-        # Run-wide telemetry (repro.obs).  Tracing needs per-worker state
-        # intervals, so it forces an internal TimelineTrace even when the
-        # caller did not ask for one on the result; ``self.trace`` (and
-        # therefore ``RunResult.trace``) stays None unless ``enable_trace``.
+        # Run-wide telemetry (repro.obs).  Workers record their state
+        # intervals into the tracer as they go.
         self.telemetry_config = telemetry
-        self.tracer: Optional[Tracer] = None
-        self._worker_timeline: Optional[TimelineTrace] = self.trace
-        if telemetry is not None and telemetry.trace:
-            self.tracer = Tracer(process="engine")
-            if self._worker_timeline is None:
-                self._worker_timeline = TimelineTrace()
+        self.tracer: Optional[Tracer] = (
+            Tracer(process="engine") if telemetry is not None and telemetry.trace else None
+        )
         # When metrics are requested the registry exists *before* the run so
         # workers can observe histograms (gossip delta sizes, eviction
         # latencies) into it live; ingestion at the end reuses it.
@@ -169,7 +160,6 @@ class DistributedBnBSimulation:
                 names,
                 rng=rng.stream(f"worker:{name}"),
                 metrics=self.metrics,
-                trace=self._worker_timeline,
                 initial_work=[root_sub] if index == 0 else [],
                 expected_node_cost=self.expected_node_cost,
                 arena=arena,
@@ -228,8 +218,8 @@ class DistributedBnBSimulation:
             stop_when=self._stop_condition,
         )
         end_time = self.engine.now
-        if self._worker_timeline is not None:
-            self._worker_timeline.finish(end_time)
+        for worker in self.workers:
+            worker.finish_trace(end_time)
 
         result = self._collect_results(end_time)
         result.telemetry = self._build_telemetry(end_time, result)
@@ -323,7 +313,6 @@ class DistributedBnBSimulation:
             total_bytes_sent=network_stats.bytes_sent,
             messages_by_kind=messages_by_kind,
             bytes_by_kind=dict(self.net.kind_bytes),
-            trace=self.trace,
             engine_counters=counters,
         )
 
@@ -345,8 +334,6 @@ class DistributedBnBSimulation:
                 category="engine",
                 args={"workers": self.n_workers},
             )
-            if self._worker_timeline is not None:
-                tracer.add_timeline(self._worker_timeline, category="worker")
             for name, stats in result.workers.items():
                 if stats.crashed and stats.crashed_at is not None:
                     tracer.event(
@@ -396,7 +383,6 @@ def run_tree_simulation(
     seed: int = 0,
     granularity: float = 1.0,
     prune: bool = True,
-    enable_trace: bool = False,
     max_sim_time: Optional[float] = None,
     max_events: Optional[int] = None,
     uniprocessor_time: Optional[float] = None,
@@ -430,7 +416,6 @@ def run_tree_simulation(
         network=network,
         failures=failures,
         seed=seed,
-        enable_trace=enable_trace,
         reference_optimum=tree.optimal_value(),
         uniprocessor_time=uniprocessor_time,
         expected_node_cost=expected_node_cost,

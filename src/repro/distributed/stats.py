@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from ..simulation.metrics import MetricsCollector, TIME_CATEGORIES
 from ..simulation.network import TrafficStats
-from ..simulation.tracing import TimelineTrace
 
 __all__ = ["WorkerRunStats", "RunResult"]
 
@@ -155,13 +154,13 @@ class RunResult:
     #: classified by :class:`~repro.distributed.messages.MessageKinds` — the
     #: delta-gossip benchmark compares the table-dissemination family here.
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Optional execution timeline (Figures 5/6).
-    trace: Optional[TimelineTrace] = None
     #: Engine-level scale counters: ``events_processed``, ``peak_heap_len``,
     #: ``compactions`` and ``entity_steps``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: Collected run telemetry (a :class:`repro.obs.Telemetry`) when the run
-    #: was started with a telemetry config; ``None`` otherwise.
+    #: was started with a telemetry config; ``None`` otherwise.  With
+    #: ``trace`` on, its tracer holds the per-worker state spans (Figures
+    #: 5/6).
     telemetry: Optional[object] = None
 
     # ------------------------------------------------------------------ #

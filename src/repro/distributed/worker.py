@@ -25,10 +25,14 @@ Section 5 of the paper:
 * incumbent sharing: the best-known solution piggy-backs on every message.
 
 Every unit of algorithmic work is converted into simulated time through the
-cost knobs of :class:`~repro.distributed.config.AlgorithmConfig` and charged
-to one of the paper's five accounting categories (B&B, communication, list
-contraction, load balancing, idle), which is what the Figure 3 / Table 1
-benchmarks read back out.
+per-operation cost constants below and charged to one of the paper's five
+accounting categories (B&B, communication, list contraction, load balancing,
+idle), which is what the Figure 3 / Table 1 benchmarks read back out.
+
+With a run :class:`~repro.obs.Tracer` attached, the worker records each
+state interval (``working``, ``idle``, ``load_balancing``, ``recovery``,
+``crashed``, ``terminated``…) as a ``worker``-category span as it closes —
+the Jumpshot-style timeline behind Figures 5 and 6.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from ..core.work_report import BestSolution
 from ..gossip.failure_detector import GossipFailureDetector
 from ..simulation.entity import Entity, QueuedMessage
 from ..simulation.metrics import MetricsCollector
-from ..simulation.tracing import TimelineTrace
 from .config import AlgorithmConfig
 from .messages import (
     DeltaGossipMsg,
@@ -68,6 +71,45 @@ __all__ = ["PeerRoster", "WorkerEntity", "DELTA_BYTES_BUCKETS"]
 
 #: Histogram buckets for gossip-delta wire sizes (bytes).
 DELTA_BYTES_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
+
+# ----------------------- load balancing ---------------------------------- #
+#: Keep at least this many subproblems when answering a work request.
+LB_KEEP_AT_LEAST = 2
+#: Donate at most this many subproblems per grant.
+LB_DONATION_MAX = 4
+#: Donate roughly this fraction of the pool (bounded by LB_DONATION_MAX).
+LB_DONATION_FRACTION = 0.5
+#: Give up on a work request after this long without an answer (s).
+WORK_REQUEST_TIMEOUT = 0.25
+#: How often an idle worker re-polls (retry requests, suspect loss) (s).  A
+#: starved worker also pushes table gossip at this cadence: converging the
+#: completed-table views is what lets idle workers detect termination
+#: instead of redoing work.
+IDLE_POLL_INTERVAL = 0.1
+#: Minimum pause between consecutive work requests from a starving worker.
+#: Without it a burst of immediate denials makes the worker suspect loss
+#: within milliseconds and redo work that is simply still in flight.
+LB_RETRY_BACKOFF = 0.1
+
+# ----------------------- recovery gating --------------------------------- #
+#: Loss is suspected only after the worker has been starved for at least
+#: this many times its recent average node cost: the paper's "how soon
+#: failure is suspected" knob, made granularity-aware so the same
+#: configuration behaves sensibly for 0.01 s and 3.47 s subproblems.
+RECOVERY_IDLE_COST_FACTOR = 3.0
+
+# ----------------------- simulated overhead costs ------------------------ #
+#: Fixed CPU cost of handling one received message (s).
+MSG_PROCESSING_BASE = 2.0e-4
+#: Additional CPU cost per received byte (s/byte).
+MSG_PROCESSING_PER_BYTE = 2.0e-7
+#: Fixed CPU cost of sending one message (s).
+MSG_SEND_COST = 1.0e-4
+#: CPU cost per elementary contraction operation (merge/subsume/insert).
+CONTRACTION_COST_PER_OP = 2.0e-5
+#: CPU cost to replay one ``<variable, value>`` decision when rebuilding a
+#: subproblem from its code (work grants and recovery).
+REBUILD_COST_PER_DECISION = 1.0e-5
 
 
 class PeerRoster(_SequenceABC):
@@ -171,8 +213,8 @@ class WorkerEntity(Entity):
         victims and report targets.
     rng:
         Seeded random stream for this worker's choices.
-    metrics, trace:
-        Shared collectors owned by the runner.
+    metrics:
+        Shared collector owned by the runner.
     initial_work:
         Subproblems this worker starts with (usually only worker 0 receives
         the root problem).
@@ -192,7 +234,6 @@ class WorkerEntity(Entity):
         *,
         rng: Optional[random.Random] = None,
         metrics: Optional[MetricsCollector] = None,
-        trace: Optional[TimelineTrace] = None,
         initial_work: Sequence[Subproblem] = (),
         expected_node_cost: float = 0.0,
         arena: Optional[TrieArena] = None,
@@ -211,10 +252,13 @@ class WorkerEntity(Entity):
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.metrics.register(name)
         self._time_account = self.metrics.time[name]
-        self.trace = trace
-        #: Optional :class:`repro.obs.Tracer` for gossip/recovery telemetry
-        #: (``None`` keeps the hot paths on one attribute check).
+        #: Optional :class:`repro.obs.Tracer` for state spans and
+        #: gossip/recovery telemetry (``None`` keeps the hot paths on one
+        #: attribute check).
         self.tracer = tracer
+        #: Traced state and the time it was entered (open interval).
+        self._state: Optional[str] = None
+        self._state_since = 0.0
         #: Relative machine speed: node-expansion cost divides by this, so a
         #: 2.0 worker models a machine twice as fast as the calibration host.
         if speed <= 0:
@@ -247,10 +291,7 @@ class WorkerEntity(Entity):
         )
         self.termination = TerminationDetector(self.tracker)
         self.recovery = RecoveryPolicy(
-            failed_request_threshold=config.recovery_failed_threshold,
-            idle_time_threshold=config.recovery_idle_threshold,
-            strategy=config.recovery_strategy,
-            rng=self.rng,
+            failed_request_threshold=config.recovery_failed_threshold
         )
         self.incumbent: BestSolution = BestSolution()
         self.stats = WorkerRunStats(name=name)
@@ -320,8 +361,27 @@ class WorkerEntity(Entity):
         return 0.0
 
     def _trace_state(self, state: str) -> None:
-        if self.trace is not None:
-            self.trace.set_state(self.name, state, self._now())
+        """Enter ``state``; the interval just left becomes a ``worker`` span."""
+        if self.tracer is None or state == self._state:
+            return
+        now = self._now()
+        self._close_state(now)
+        self._state = state
+        self._state_since = now
+
+    def _close_state(self, now: float) -> None:
+        # Zero-length intervals carry no information and are dropped.
+        since = self._state_since
+        if self._state is not None and now > since:
+            self.tracer.span(
+                self._state, since, now - since, process=self.name, category="worker"
+            )
+
+    def finish_trace(self, now: float) -> None:
+        """Close the open state interval at the end of the run."""
+        if self.tracer is not None:
+            self._close_state(now)
+            self._state = None
 
     def _update_incumbent(self, value: Optional[float], origin: str) -> bool:
         """Adopt a better incumbent value; returns True when it improved."""
@@ -333,14 +393,9 @@ class WorkerEntity(Entity):
         return False
 
     def _absorb_best(self, payload) -> None:
-        if not self.config.share_best_solution:
-            return
         best = getattr(payload, "best", None)
         if isinstance(best, BestSolution) and best.value is not None:
             self._update_incumbent(best.value, best.origin or "remote")
-
-    def _my_best(self) -> BestSolution:
-        return self.incumbent if self.config.share_best_solution else BestSolution()
 
     def _update_storage_metric(self) -> None:
         footprint = self.tracker.storage_bytes() + self.pool.storage_bytes()
@@ -387,7 +442,6 @@ class WorkerEntity(Entity):
             fail_timeout=cfg.fd_fail_timeout,
             cleanup_timeout=cfg.fd_cleanup_timeout,
             gossip_interval=cfg.fd_heartbeat_interval,
-            fanout=cfg.fd_fanout,
             rng=self.rng,
         )
         now = self._now()
@@ -419,11 +473,11 @@ class WorkerEntity(Entity):
                 sender=self.name,
                 digest=digest,
                 incarnations=self._incarnation_digest(),
-                best=self._my_best(),
+                best=self.incumbent,
             )
             for target in targets:
                 self.send(target, message)
-                cost += self._charge("communication", self.config.msg_send_cost)
+                cost += self._charge("communication", MSG_SEND_COST)
             self.stats.heartbeats_sent += 1
         # Staleness must be read *before* cleanup deletes the entries.
         stale = {name: fd.staleness(name, now) for name in fd.suspected(now)}
@@ -586,10 +640,7 @@ class WorkerEntity(Entity):
         )
         self.termination = TerminationDetector(self.tracker)
         self.recovery = RecoveryPolicy(
-            failed_request_threshold=self.config.recovery_failed_threshold,
-            idle_time_threshold=self.config.recovery_idle_threshold,
-            strategy=self.config.recovery_strategy,
-            rng=self.rng,
+            failed_request_threshold=self.config.recovery_failed_threshold
         )
         self.incumbent = BestSolution()
         # A restarted worker re-reads the full membership list (the paper's
@@ -611,7 +662,7 @@ class WorkerEntity(Entity):
         elif (
             self.alive
             and self.terminated
-            and self.config.termination_echo
+            and self.config.failure_detector
             and not isinstance(message.payload, (WorkReportMsg, TableGossipAck))
         ):
             # Termination echo: a terminated worker answers late traffic (a
@@ -622,9 +673,9 @@ class WorkerEntity(Entity):
             self.inbox.clear()
             self.send(
                 message.sender,
-                WorkReportMsg(make_root_report(self.name, best=self._my_best())),
+                WorkReportMsg(make_root_report(self.name, best=self.incumbent)),
             )
-            self._charge("communication", self.config.msg_send_cost)
+            self._charge("communication", MSG_SEND_COST)
 
     def on_wakeup(self, reason: str) -> None:
         if not self.alive or self.terminated:
@@ -681,7 +732,7 @@ class WorkerEntity(Entity):
                 # Termination may have been detected while merging reports;
                 # the detector knows whether this worker still owes the final
                 # root broadcast (only the "local" detection path does).
-                self._finish_termination(broadcast=self.config.send_root_report)
+                self._finish_termination(broadcast=True)
                 return
             overhead += self._maybe_send_reports()
         elif self._report_work_due(now):
@@ -693,7 +744,10 @@ class WorkerEntity(Entity):
             return
 
         if not self.pool:
-            if self.config.flush_report_when_idle and self.tracker.pending_report_size:
+            # Flush pending completions the moment work runs out: lightly
+            # loaded processes "suspect termination and send more work
+            # reports", which gets the last completions around promptly.
+            if self.tracker.pending_report_size:
                 overhead += self._flush_report()
                 if self._check_local_termination():
                     return
@@ -724,7 +778,7 @@ class WorkerEntity(Entity):
         self._trace_state("idle")
         if not self._idle_poll_armed:
             self._idle_poll_armed = True
-            self.set_timer(max(overhead, 0.0) + self.config.idle_poll_interval, "idle-poll")
+            self.set_timer(max(overhead, 0.0) + IDLE_POLL_INTERVAL, "idle-poll")
 
     # ------------------------------------------------------------------ #
     # Expansion
@@ -735,12 +789,11 @@ class WorkerEntity(Entity):
         # subproblems after a big report merge, and ``covers`` is the hot
         # O(depth) trie probe.
         pool = self.pool
-        abort_redundant = self.config.abort_redundant_work
         covers = self.tracker.table.covers
         active_recoveries = self.recovery.active_recoveries
         while pool:
             sub = pool.pop()
-            if abort_redundant and covers(sub.code):
+            if covers(sub.code):
                 # Someone else already completed this subtree: drop it and
                 # record the aborted (would-have-been-redundant) work.
                 self.stats.nodes_skipped_covered += 1
@@ -776,7 +829,7 @@ class WorkerEntity(Entity):
             if code in active_recoveries:
                 self.recovery.note_recovery_finished(code, redundant=False)
         ops = table_stats.elementary_operations() - before
-        self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
 
         for child, child_bound in outcome.children:
             self.pool.push(child, bound=child_bound)
@@ -808,10 +861,7 @@ class WorkerEntity(Entity):
     def _handle_message(self, message: QueuedMessage) -> float:
         payload = message.payload
         now = self._now()
-        receive_cost = (
-            self.config.msg_processing_base
-            + self.config.msg_processing_per_byte * message.size_bytes
-        )
+        receive_cost = MSG_PROCESSING_BASE + MSG_PROCESSING_PER_BYTE * message.size_bytes
         self._absorb_best(payload)
 
         if isinstance(payload, WorkRequest):
@@ -853,7 +903,7 @@ class WorkerEntity(Entity):
             self.tracker.note_peer_covers(msg.report.sender, msg.report.codes)
         newly_terminated = self.termination.observe_report(msg.report, now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        cost = self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
         if newly_terminated:
             self.stats.terminated_via = self.termination.detected_via
         self._abort_covered_recoveries()
@@ -867,7 +917,7 @@ class WorkerEntity(Entity):
             self.tracker.note_peer_covers(msg.snapshot.sender, msg.snapshot.codes)
         self.termination.observe_report(msg.snapshot.as_report(), now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        cost = self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
         self._abort_covered_recoveries()
         return cost
 
@@ -880,7 +930,7 @@ class WorkerEntity(Entity):
         self.tracker.note_peer_covers(delta.sender, delta.codes)
         self.termination.observe_report(delta.as_report(), now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        cost = self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
         my_digest = self.tracker.table_digest_now()
         if my_digest == delta.full_digest:
             # Post-merge our table equals the sender's: it covers all of it.
@@ -894,18 +944,16 @@ class WorkerEntity(Entity):
                     sender=self.name,
                     digest=delta.full_digest,
                     table_digest=my_digest,
-                    best=self._my_best(),
+                    best=self.incumbent,
                 ),
             )
             self.stats.gossip_acks_sent += 1
-            cost += self._charge("communication", self.config.msg_send_cost)
+            cost += self._charge("communication", MSG_SEND_COST)
         self._abort_covered_recoveries()
         return cost
 
     def _abort_covered_recoveries(self) -> None:
         """Drop active recovery subproblems that turned out to be completed."""
-        if not self.config.abort_redundant_work:
-            return
         for code in list(self.recovery.active_recoveries):
             if self.recovery.should_abort(self.tracker, code):
                 self.recovery.note_recovery_aborted(code)
@@ -916,24 +964,22 @@ class WorkerEntity(Entity):
     # ------------------------------------------------------------------ #
     def _answer_work_request(self, request: WorkRequest) -> float:
         cost = 0.0
-        if self.pool.can_donate(keep_at_least=self.config.lb_keep_at_least):
-            share = max(1, int(len(self.pool) * self.config.lb_donation_fraction))
+        if self.pool.can_donate(keep_at_least=LB_KEEP_AT_LEAST):
+            share = max(1, int(len(self.pool) * LB_DONATION_FRACTION))
             donated = self.pool.take_for_donation(
-                max_count=min(self.config.lb_donation_max, share),
-                keep_at_least=self.config.lb_keep_at_least,
-                prefer_shallow=self.config.lb_prefer_shallow,
+                max_count=min(LB_DONATION_MAX, share), keep_at_least=LB_KEEP_AT_LEAST
             )
             grant = WorkGrant(
                 donor=self.name,
                 codes=tuple(sub.code for sub in donated),
-                best=self._my_best(),
+                best=self.incumbent,
             )
             self.send(request.requester, grant)
             self.stats.work_grants_sent += 1
         else:
-            self.send(request.requester, WorkDenied(donor=self.name, best=self._my_best()))
+            self.send(request.requester, WorkDenied(donor=self.name, best=self.incumbent))
             self.stats.work_denials_sent += 1
-        cost += self._charge("load_balancing", self.config.msg_send_cost)
+        cost += self._charge("load_balancing", MSG_SEND_COST)
         return cost
 
     def _accept_work_grant(self, grant: WorkGrant) -> float:
@@ -942,12 +988,11 @@ class WorkerEntity(Entity):
         accepted = 0
         covers = self.tracker.table.covers
         rebuild = self.problem.rebuild_subproblem
-        rebuild_cost_per_decision = self.config.rebuild_cost_per_decision
         for code in grant.codes:
             if covers(code):
                 continue  # already known completed; no point rebuilding
             sub = rebuild(code)
-            rebuild_cost += rebuild_cost_per_decision * max(1, code.depth)
+            rebuild_cost += REBUILD_COST_PER_DECISION * max(1, code.depth)
             if sub is None:
                 # The code replays to an infeasible state: it is a completed
                 # leaf by construction and can be recorded as such.
@@ -964,15 +1009,16 @@ class WorkerEntity(Entity):
 
     def _effective_idle_threshold(self) -> Optional[float]:
         """Starvation time required before loss is suspected (granularity-aware)."""
-        base = self.config.recovery_idle_threshold or 0.0
-        adaptive = self.config.recovery_idle_cost_factor * self._avg_node_cost
-        threshold = max(base, adaptive)
+        threshold = RECOVERY_IDLE_COST_FACTOR * self._avg_node_cost
         return threshold if threshold > 0 else None
 
     def _bootstrap_timeout(self) -> float:
-        """Starvation a blank worker must endure before regenerating the root."""
-        if self.config.recovery_bootstrap_timeout is not None:
-            return self.config.recovery_bootstrap_timeout
+        """Starvation a blank worker must endure before regenerating the root.
+
+        A worker that has never done any work and knows of no completed work
+        cannot tell "work was lost" from "work has not reached me yet", so it
+        waits max(10 s, 30 × expected node cost).
+        """
         return max(10.0, 30.0 * self._avg_node_cost)
 
     def _may_recover(self, now: float) -> bool:
@@ -1032,33 +1078,29 @@ class WorkerEntity(Entity):
         # Starved workers have spare capacity: use it to converge the
         # completed-table views, which is what unblocks termination detection
         # (and prevents needless recovery of work that is already done).
-        if (
-            self.config.table_gossip_when_idle
-            and self.peers
-            and (now - self._last_table_gossip) >= self.config.idle_poll_interval
-        ):
+        if (now - self._last_table_gossip) >= IDLE_POLL_INTERVAL:
             cost += self._send_table_gossip(now)
 
         may_request = (
             self._last_lb_attempt is None
-            or (now - self._last_lb_attempt) >= self.config.lb_retry_backoff
+            or (now - self._last_lb_attempt) >= LB_RETRY_BACKOFF
         )
         if self._outstanding_request is None and may_request:
             victim = self.rng.choice(self.peers)
-            self.send(victim, WorkRequest(requester=self.name, best=self._my_best()))
+            self.send(victim, WorkRequest(requester=self.name, best=self.incumbent))
             self.stats.work_requests_sent += 1
             self._request_seq += 1
             self._outstanding_request = (victim, now, self._request_seq)
             self._last_lb_attempt = now
-            self.set_timer(self.config.work_request_timeout, f"lb-timeout:{self._request_seq}")
-            cost += self._charge("load_balancing", self.config.msg_send_cost)
+            self.set_timer(WORK_REQUEST_TIMEOUT, f"lb-timeout:{self._request_seq}")
+            cost += self._charge("load_balancing", MSG_SEND_COST)
         self._trace_state("load_balancing")
         return cost
 
     def _start_recovery(self, code: PathCode) -> float:
         """Regenerate an uncompleted subproblem from its code."""
         sub = self.problem.rebuild_subproblem(code)
-        rebuild_cost = self.config.rebuild_cost_per_decision * max(1, code.depth)
+        rebuild_cost = REBUILD_COST_PER_DECISION * max(1, code.depth)
         self.recovery.note_recovery_started(code)
         self.stats.recovery_activations += 1
         self._trace_state("recovery")
@@ -1091,17 +1133,16 @@ class WorkerEntity(Entity):
             return cost
         report = self.tracker.build_report(
             now=now,
-            best=self._my_best(),
+            best=self.incumbent,
             compress=self.config.compress_reports,
-            compress_against_table=self.config.compress_against_table,
         )
         if report.is_empty:
             return cost
-        cost += self._charge("contraction", pending * self.config.contraction_cost_per_op)
+        cost += self._charge("contraction", pending * CONTRACTION_COST_PER_OP)
         targets = self._choose_report_targets(self.config.report_fanout)
         for target in targets:
             self.send(target, WorkReportMsg(report))
-            cost += self._charge("communication", self.config.msg_send_cost)
+            cost += self._charge("communication", MSG_SEND_COST)
         self.stats.reports_sent += 1
         return cost
 
@@ -1146,7 +1187,7 @@ class WorkerEntity(Entity):
         target = self.rng.choice(self.peers)
         self._last_table_gossip = now
         if self.config.delta_gossip:
-            delta = self.tracker.build_delta_snapshot(target, best=self._my_best())
+            delta = self.tracker.build_delta_snapshot(target, best=self.incumbent)
             if delta.is_empty:
                 self.stats.delta_gossips_suppressed += 1
                 return 0.0
@@ -1156,7 +1197,7 @@ class WorkerEntity(Entity):
                 self._delta_bytes_hist.observe(delta.wire_size())
             gossip_kind = "delta_gossip"
         else:
-            snapshot = self.tracker.build_table_snapshot(best=self._my_best())
+            snapshot = self.tracker.build_table_snapshot(best=self.incumbent)
             self.send(target, TableGossipMsg(snapshot))
             self.stats.table_gossips_sent += 1
             gossip_kind = "table_gossip"
@@ -1164,12 +1205,12 @@ class WorkerEntity(Entity):
             self.tracer.span(
                 gossip_kind,
                 now,
-                self.config.msg_send_cost,
+                MSG_SEND_COST,
                 process=self.name,
                 category="gossip",
                 args={"target": target},
             )
-        return self._charge("communication", self.config.msg_send_cost)
+        return self._charge("communication", MSG_SEND_COST)
 
     def _choose_report_targets(self, fanout: int) -> List[str]:
         if not self.peers:
@@ -1184,7 +1225,7 @@ class WorkerEntity(Entity):
         now = self._now()
         if self.termination.check_local(now):
             self.stats.terminated_via = "local"
-            self._finish_termination(broadcast=self.config.send_root_report)
+            self._finish_termination(broadcast=True)
             return True
         if self.terminated:
             self._finish_termination(broadcast=False)
@@ -1197,10 +1238,10 @@ class WorkerEntity(Entity):
         self._finished = True
         now = self._now()
         if broadcast and self.termination.needs_root_broadcast():
-            root_report = make_root_report(self.name, best=self._my_best())
+            root_report = make_root_report(self.name, best=self.incumbent)
             for member in self.peers:
                 self.send(member, WorkReportMsg(root_report))
-                self._charge("communication", self.config.msg_send_cost)
+                self._charge("communication", MSG_SEND_COST)
             self.termination.mark_root_broadcast_sent()
         if self._idle_since is not None:
             self._charge("idle", now - self._idle_since)

@@ -9,6 +9,8 @@ gives every backend one shared observability stack:
   sim-time or wall-clock timestamps, a no-op path when disabled;
 * :mod:`repro.obs.chrome` — the Chrome trace-event exporter (Perfetto /
   ``about://tracing``) and the loader behind ``python -m repro inspect``;
+* :mod:`repro.obs.gantt` — worker state spans read back from a tracer or a
+  saved trace and rendered as the ASCII Gantt chart of Figures 5/6;
 * :mod:`repro.obs.metrics` — the labeled counter/gauge/histogram registry
   with snapshot and Prometheus text exposition;
 * :mod:`repro.obs.ingest` — bridges folding the codebase's existing counter

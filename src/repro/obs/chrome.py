@@ -13,9 +13,8 @@ records of a :class:`~repro.obs.trace.Tracer` into that format:
   ``"repro"`` key, which trace viewers ignore but ``python -m repro inspect``
   reads back.
 
-:func:`timeline_from_chrome` reconstructs a
-:class:`~repro.simulation.tracing.TimelineTrace` from the ``worker``-category
-spans of a saved trace, so the ASCII Gantt works on exported files too.
+:func:`intervals_from_chrome` reads the ``worker``-category spans of a saved
+trace back, so the ASCII Gantt works on exported files too.
 """
 
 from __future__ import annotations
@@ -23,13 +22,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
+from .gantt import StateInterval
 from .trace import Tracer
 
 __all__ = [
     "chrome_trace_dict",
     "write_chrome_trace",
     "load_chrome_trace",
-    "timeline_from_chrome",
+    "intervals_from_chrome",
     "category_span_counts",
 ]
 
@@ -113,28 +113,20 @@ def _process_names(events: Iterable[dict]) -> Dict[int, str]:
     return names
 
 
-def timeline_from_chrome(document: Dict[str, Any], *, category: str = "worker"):
-    """Rebuild a :class:`TimelineTrace` from one category's complete spans."""
-    from ..simulation.tracing import TimelineTrace
-
+def intervals_from_chrome(document: Dict[str, Any]) -> List[StateInterval]:
+    """The ``worker`` complete spans of a loaded document, as state intervals."""
     events = document.get("traceEvents", [])
     names = _process_names(events)
-    spans = [
-        event
+    return [
+        StateInterval(
+            names.get(event.get("pid", 0), f"pid-{event.get('pid', 0)}"),
+            event.get("name", "?"),
+            event.get("ts", 0.0) / _US,
+            event.get("dur", 0.0) / _US,
+        )
         for event in events
-        if event.get("ph") == "X" and event.get("cat") == category
+        if event.get("ph") == "X" and event.get("cat") == "worker"
     ]
-    spans.sort(key=lambda event: (event.get("pid", 0), event.get("ts", 0.0)))
-    timeline = TimelineTrace()
-    end = 0.0
-    for span in spans:
-        process = names.get(span.get("pid", 0), f"pid-{span.get('pid', 0)}")
-        start = span.get("ts", 0.0) / _US
-        finish = start + span.get("dur", 0.0) / _US
-        timeline.set_state(process, span.get("name", "?"), start)
-        end = max(end, finish)
-    timeline.finish(end)
-    return timeline
 
 
 def category_span_counts(document: Dict[str, Any]) -> Dict[str, int]:

@@ -22,11 +22,12 @@ one shared shape.  New backends register through :func:`register_backend`.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..bnb.tree_problem import TreeReplayProblem
+from ..distributed.config import AlgorithmConfig
 from ..distributed.runner import NetworkConfig, run_tree_simulation
 from ..obs import MetricsRegistry, Telemetry, get_logger
 from ..obs.ingest import ingest_scenario_totals
@@ -178,7 +179,6 @@ def _reference_key(scenario: Scenario) -> Scenario:
         description="",
         failures=(),
         churn=None,
-        enable_trace=False,
         telemetry=None,
         compute_uniprocessor_time=False,
         uniprocessor_time=None,
@@ -276,9 +276,9 @@ class SimulatedBackend:
         worker_speeds: Dict[str, float] = {}
         if churn is not None:
             # Churn makes fault handling emergent: peer eviction must come
-            # from the live failure detector, and a terminated group must be
-            # able to answer a late rejoiner — flip both on for this run.
-            config = config.with_overrides(failure_detector=True, termination_echo=True)
+            # from the live failure detector, which also lets a terminated
+            # group answer a late rejoiner — switch it on for this run.
+            config = config.with_overrides(failure_detector=True)
             churn_events = churn.events()
             churn_mode = churn.mode
             worker_speeds = dict(churn.speeds)
@@ -294,7 +294,6 @@ class SimulatedBackend:
             seed=scenario.seed,
             granularity=scenario.granularity,
             prune=scenario.prune,
-            enable_trace=scenario.enable_trace,
             max_sim_time=scenario.max_sim_time,
             max_events=scenario.max_events,
             uniprocessor_time=scenario.uniprocessor_time,
@@ -525,13 +524,43 @@ class DibBackend:
 # --------------------------------------------------------------------------- #
 # realexec — real OS processes over a pluggable transport
 # --------------------------------------------------------------------------- #
+#: The :class:`AlgorithmConfig` fields the real workers implement; each is a
+#: :class:`~repro.realexec.driver.LocalCluster` keyword of the same name.
+_REALEXEC_CONFIG_FIELDS = ("report_threshold", "report_fanout", "recovery_failed_threshold")
+
+
+def _realexec_config(config: AlgorithmConfig) -> Dict[str, Any]:
+    """The config fields realexec implements, as ``LocalCluster`` keywords.
+
+    Raises ``ValueError`` naming every other field set away from the Scenario
+    default config, since the real workers would silently run without it.
+    """
+    default = Scenario().config
+    ignored = [
+        f.name
+        for f in fields(AlgorithmConfig)
+        if f.name not in _REALEXEC_CONFIG_FIELDS
+        and getattr(config, f.name) != getattr(default, f.name)
+    ]
+    if ignored:
+        raise ValueError(
+            "the realexec backend does not implement AlgorithmConfig "
+            f"field(s) {', '.join(ignored)}; leave them at the Scenario default"
+        )
+    return {name: getattr(config, name) for name in _REALEXEC_CONFIG_FIELDS}
+
+
 class RealexecBackend:
     """The same core objects on real ``multiprocessing`` workers.
 
     Honours ``Scenario.transport`` (``"pipe"``, ``"uds"`` or ``"tcp"``),
     ``wire_generations`` (rolling upgrades), ``node_sleep`` and
     ``max_seconds``.  Failure times are wall-clock
-    (:meth:`~repro.scenario.spec.FailureSpec.wall_clock_delay`).
+    (:meth:`~repro.scenario.spec.FailureSpec.wall_clock_delay`).  Of the
+    algorithm config only ``report_threshold``, ``report_fanout`` and
+    ``recovery_failed_threshold`` reach the workers; a scenario that sets
+    any other field away from its default is rejected with ``ValueError``
+    rather than silently run without it.
     """
 
     name = "realexec"
@@ -539,6 +568,7 @@ class RealexecBackend:
     def run(self, scenario: Scenario) -> ScenarioResult:
         from ..realexec.driver import LocalCluster
 
+        config_kwargs = _realexec_config(scenario.config)
         tree = scenario.build_tree()
         cluster = LocalCluster(
             tree,
@@ -547,12 +577,10 @@ class RealexecBackend:
             node_sleep=scenario.node_sleep,
             max_seconds=scenario.max_seconds,
             prune=scenario.prune,
-            report_threshold=scenario.config.report_threshold,
-            report_fanout=scenario.config.report_fanout,
-            recovery_failed_threshold=scenario.config.recovery_failed_threshold,
             wire_generations=scenario.wire_generations,
             transport=scenario.transport,
             telemetry=scenario.telemetry,
+            **config_kwargs,
         )
         kill_schedule = [
             (

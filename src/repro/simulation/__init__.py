@@ -11,9 +11,7 @@ package provides the equivalent functionality in pure Python:
 * :mod:`repro.simulation.failures` — crash-failure injection schedules;
 * :mod:`repro.simulation.metrics` — the per-process time split (B&B /
   communication / contraction / load balancing / idle) and storage accounting
-  used by Figure 3 and Table 1;
-* :mod:`repro.simulation.tracing` — per-process state timelines (the Jumpshot
-  substitute behind Figures 5 and 6); and
+  used by Figure 3 and Table 1; and
 * :mod:`repro.simulation.rng` — named, seeded random streams.
 """
 
@@ -28,7 +26,6 @@ from .failures import (
 from .metrics import TIME_CATEGORIES, MetricsCollector, StorageAccount, TimeAccount
 from .network import LatencyModel, Network, Partition, TrafficStats
 from .rng import RngRegistry
-from .tracing import StateInterval, TimelineTrace
 
 __all__ = [
     "SimulationEngine",
@@ -48,7 +45,5 @@ __all__ = [
     "TimeAccount",
     "StorageAccount",
     "TIME_CATEGORIES",
-    "TimelineTrace",
-    "StateInterval",
     "RngRegistry",
 ]

@@ -102,7 +102,7 @@ class TestExperimentBuilders:
         assert evidence["all_survivors_terminated"]
         assert evidence["solved_correctly"]
         assert evidence["surviving_workers"] == ["worker-00"]
-        summary = activity_summary(with_failures.trace)
+        summary = activity_summary(with_failures.telemetry.tracer)
         assert any(row["process"] == "worker-00" for row in summary)
 
     def test_granularity_sweep(self):

@@ -95,13 +95,6 @@ class TestSubproblemPool:
         donated = pool.take_for_donation(max_count=1, keep_at_least=1)
         assert donated[0].depth == 1
 
-    def test_donation_prefers_deep_when_asked(self):
-        pool = SubproblemPool()
-        for depth in (5, 1, 3):
-            pool.push(make_sub(depth))
-        donated = pool.take_for_donation(max_count=1, keep_at_least=1, prefer_shallow=False)
-        assert donated[0].depth == 5
-
     def test_cannot_donate_small_pool(self):
         pool = SubproblemPool()
         pool.push(make_sub(1))

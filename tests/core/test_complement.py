@@ -1,14 +1,11 @@
 """Tests for complement computation and recovery-candidate selection."""
 
 import itertools
-import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.codeset import CodeSet
 from repro.core.complement import (
-    SelectionStrategy,
     complement_covers_tree,
     complement_frontier,
     minimal_complement,
@@ -56,43 +53,10 @@ class TestSelection:
     def make_table(self):
         return CodeSet([ROOT.child(0, 0).child(1, 0).child(2, 0)])
 
-    def test_deepest_and_shallowest(self):
+    def test_deepest(self):
         table = self.make_table()
-        deepest = select_recovery_candidate(table, strategy=SelectionStrategy.DEEPEST)
-        shallowest = select_recovery_candidate(table, strategy=SelectionStrategy.SHALLOWEST)
-        assert deepest.depth >= shallowest.depth
+        deepest = select_recovery_candidate(table)
         assert deepest == ROOT.child(0, 0).child(1, 0).child(2, 1)
-        assert shallowest == ROOT.child(0, 1)
-
-    def test_random_is_deterministic_with_seed(self):
-        table = self.make_table()
-        a = select_recovery_candidate(
-            table, strategy=SelectionStrategy.RANDOM, rng=random.Random(3)
-        )
-        b = select_recovery_candidate(
-            table, strategy=SelectionStrategy.RANDOM, rng=random.Random(3)
-        )
-        assert a == b
-        assert a in complement_frontier(table)
-
-    def test_near_last_completed(self):
-        table = self.make_table()
-        last = ROOT.child(0, 0).child(1, 0).child(2, 0)
-        candidate = select_recovery_candidate(
-            table,
-            strategy=SelectionStrategy.NEAR_LAST_COMPLETED,
-            last_completed=last,
-        )
-        # The candidate sharing the longest prefix with the last completed
-        # problem is its direct sibling.
-        assert candidate == ROOT.child(0, 0).child(1, 0).child(2, 1)
-
-    def test_near_last_completed_without_hint_falls_back(self):
-        table = self.make_table()
-        candidate = select_recovery_candidate(
-            table, strategy=SelectionStrategy.NEAR_LAST_COMPLETED, last_completed=None
-        )
-        assert candidate in complement_frontier(table)
 
     def test_exclusion(self):
         table = CodeSet([ROOT.child(0, 0)])
@@ -102,10 +66,6 @@ class TestSelection:
 
     def test_complete_table_returns_none(self):
         assert select_recovery_candidate(CodeSet([ROOT])) is None
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            select_recovery_candidate(CodeSet(), strategy="bogus")  # type: ignore[arg-type]
 
 
 @st.composite
@@ -135,15 +95,12 @@ class TestComplementProperties:
     def test_selected_candidate_is_never_covered(self, case):
         _depth, completed = case
         table = CodeSet(completed)
-        for strategy in SelectionStrategy:
-            candidate = select_recovery_candidate(
-                table, strategy=strategy, rng=random.Random(0), last_completed=None
-            )
-            if table.is_complete():
-                assert candidate is None
-            else:
-                assert candidate is not None
-                assert not table.covers(candidate)
+        candidate = select_recovery_candidate(table)
+        if table.is_complete():
+            assert candidate is None
+        else:
+            assert candidate is not None
+            assert not table.covers(candidate)
 
     @given(completed_leaf_subset())
     @settings(max_examples=100, deadline=None)

@@ -35,13 +35,6 @@ class TestCompressReportCodes:
         right = ROOT.child(1, 1)
         assert compress_report_codes([left, right]) == frozenset({ROOT})
 
-    def test_known_table_suppresses_codes(self):
-        table = CodeSet([ROOT.child(1, 0)])
-        codes = [ROOT.child(1, 0).child(2, 0), ROOT.child(1, 1)]
-        compressed = compress_report_codes(codes, known_table=table)
-        assert compressed == frozenset({ROOT.child(1, 1)})
-
-
 class TestWorkReport:
     def test_build_compresses(self):
         report = WorkReport.build("w1", [ROOT.child(1, 0), ROOT.child(1, 1)])
@@ -152,13 +145,6 @@ class TestCompletionTracker:
         assert tracker.remote_information_share() == 0.0
         tracker.merge_report(WorkReport.build("peer", [ROOT.child(5, 1)]))
         assert tracker.remote_information_share() > 0.0
-
-    def test_last_completed_is_tracked(self):
-        tracker = CompletionTracker("w")
-        code = ROOT.child(0, 0)
-        tracker.record_completed(code, now=1.0)
-        assert tracker.last_completed == code
-        assert tracker.codes_completed_locally == 1
 
     def test_record_completed_many(self):
         tracker = CompletionTracker("w")

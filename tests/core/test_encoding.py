@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.encoding import ROOT, PathCode, common_prefix_length
+from repro.core.encoding import ROOT, PathCode
 
 
 class TestConstruction:
@@ -84,13 +84,6 @@ class TestRelations:
         ]
         with_self = list(code.ancestors(include_self=True))
         assert with_self[0] == code
-
-    def test_common_prefix_length(self):
-        a = ROOT.child(1, 0).child(2, 1).child(3, 0)
-        b = ROOT.child(1, 0).child(2, 1).child(4, 1)
-        assert common_prefix_length(a, b) == 2
-        assert common_prefix_length(a, ROOT) == 0
-        assert common_prefix_length(a, a) == 3
 
 
 class TestEncodingAndSize:

@@ -45,7 +45,8 @@ class TestRecoveryPolicy:
     def test_idle_time_threshold(self):
         tracker = CompletionTracker("w")
         tracker.record_completed(ROOT.child(0, 0), now=0.0)
-        policy = RecoveryPolicy(failed_request_threshold=1, idle_time_threshold=5.0)
+        policy = RecoveryPolicy(failed_request_threshold=1)
+        policy.idle_time_threshold = 5.0
         policy.note_request_failed(1.0)
         assert policy.evaluate(tracker, 2.0).code is None
         assert policy.evaluate(tracker, 7.0).code is not None

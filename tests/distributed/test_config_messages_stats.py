@@ -24,9 +24,9 @@ class TestAlgorithmConfig:
         assert config.report_fanout >= 1
 
     def test_with_overrides(self):
-        config = AlgorithmConfig().with_overrides(report_threshold=3, granularity=2.0)
+        config = AlgorithmConfig().with_overrides(report_threshold=3, delta_gossip=False)
         assert config.report_threshold == 3
-        assert config.granularity == 2.0
+        assert config.delta_gossip is False
         # Original defaults untouched elsewhere.
         assert config.report_fanout == AlgorithmConfig().report_fanout
 
@@ -35,14 +35,7 @@ class TestAlgorithmConfig:
         [
             ("report_threshold", 0),
             ("report_fanout", 0),
-            ("lb_keep_at_least", 0),
-            ("lb_donation_max", 0),
-            ("lb_donation_fraction", 0.0),
-            ("lb_donation_fraction", 1.5),
-            ("work_request_timeout", 0.0),
-            ("idle_poll_interval", 0.0),
             ("recovery_failed_threshold", 0),
-            ("granularity", -1.0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

@@ -124,15 +124,6 @@ class TestWorkerMessageHandling:
         w1._handle_message(QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size()))
         assert w1.tracker.table.covers(ROOT.child(0, 0))
 
-    def test_best_solution_not_adopted_when_sharing_disabled(self):
-        engine, network, problem, tree, (w0, w1) = make_worker_pair(share_best_solution=False)
-        from repro.simulation.entity import QueuedMessage
-
-        report = WorkReport.build("w0", [ROOT.child(0, 1)], best=BestSolution(50.0, "w0"))
-        msg = WorkReportMsg(report)
-        w1._handle_message(QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size()))
-        assert w1.incumbent.value is None
-
 
 class TestWorkerLifecycle:
     def test_crash_records_stats_and_stops_activity(self):

@@ -39,8 +39,8 @@ class TestSimulatedTelemetry:
         assert traced.makespan == plain.makespan
         assert traced.best_value == plain.best_value
         assert traced.total_nodes_expanded == plain.total_nodes_expanded
-        # Telemetry must not flip on the legacy RunResult.trace surface.
-        assert traced.raw.trace is None
+        # The tracer is the only trace store: no second timeline on the result.
+        assert not hasattr(traced.raw, "trace")
 
     def test_metrics_snapshot_has_engine_network_and_worker_families(self):
         result = run_scenario(_quickstart(TelemetryConfig()), backend="simulated")

@@ -8,11 +8,11 @@ from repro.obs import NULL_TRACER, NullTracer, Tracer
 from repro.obs.chrome import (
     category_span_counts,
     chrome_trace_dict,
+    intervals_from_chrome,
     load_chrome_trace,
-    timeline_from_chrome,
     write_chrome_trace,
 )
-from repro.simulation.tracing import TimelineTrace
+from repro.obs.gantt import StateInterval
 
 
 class TestTracer:
@@ -114,15 +114,15 @@ class TestChromeExport:
             load_chrome_trace(path)
 
     def test_timeline_round_trip(self):
-        timeline = TimelineTrace()
-        timeline.set_state("w0", "working", 0.0)
-        timeline.set_state("w0", "idle", 2.0)
-        timeline.set_state("w1", "working", 0.5)
-        timeline.finish(3.0)
         tracer = Tracer(process="engine")
-        tracer.add_timeline(timeline)
-        rebuilt = timeline_from_chrome(chrome_trace_dict(tracer))
-        assert rebuilt.processes() == ["w0", "w1"]
-        assert rebuilt.state_at("w0", 1.0) == "working"
-        assert rebuilt.state_at("w0", 2.5) == "idle"
-        assert rebuilt.end_time() == pytest.approx(3.0)
+        tracer.span("working", 0.0, 2.0, process="w0", category="worker")
+        tracer.span("working", 0.5, 2.5, process="w1", category="worker")
+        tracer.span("idle", 2.0, 1.0, process="w0", category="worker")
+        tracer.span("run", 0.0, 3.0, category="engine")
+        rebuilt = intervals_from_chrome(chrome_trace_dict(tracer))
+        assert rebuilt == [
+            StateInterval("w0", "working", 0.0, 2.0),
+            StateInterval("w1", "working", 0.5, 2.5),
+            StateInterval("w0", "idle", 2.0, 1.0),
+        ]
+        assert max(i.end for i in rebuilt) == pytest.approx(3.0)

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from repro.obs import TelemetryConfig
+from repro.obs.gantt import state_intervals
 from repro.scenario import (
     AvailabilitySpec,
     ChurnSpec,
@@ -179,13 +181,13 @@ class TestChurnParity:
 
     def test_simulated_churn_records_a_trace(self):
         scenario = CHURN_PARITY.with_overrides(
-            churn=CHURN_CASES["blip"], enable_trace=True
+            churn=CHURN_CASES["blip"],
+            telemetry=TelemetryConfig(trace=True, metrics=False),
         )
         result = run_scenario(scenario, backend="simulated")
         assert result.solved_correctly
         assert result.rejoins == 1
-        assert result.raw.trace is not None
-        processes = set(result.raw.trace.processes())
+        processes = {i.process for i in state_intervals(result.telemetry.tracer)}
         assert processes and processes <= set(scenario.canonical_worker_names())
 
 

@@ -1,4 +1,4 @@
-"""Tests for the network model, metrics accounting and timeline tracing."""
+"""Tests for the network model and metrics accounting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,6 @@ from repro.simulation.entity import Entity, QueuedMessage
 from repro.simulation.metrics import MetricsCollector, StorageAccount, TimeAccount, TIME_CATEGORIES
 from repro.simulation.network import LatencyModel, Network, Partition
 from repro.simulation.rng import RngRegistry
-from repro.simulation.tracing import TimelineTrace
 
 
 class _Sink(Entity):
@@ -189,102 +188,3 @@ class TestMetrics:
         collector = MetricsCollector()
         assert collector.system_fractions() == {c: 0.0 for c in TIME_CATEGORIES}
         assert collector.total_storage_bytes() == 0
-
-
-class TestTimelineTrace:
-    def test_state_intervals(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "idle", 2.0)
-        trace.set_state("p0", "working", 3.0)
-        trace.finish(5.0)
-        durations = trace.state_durations("p0")
-        assert durations["working"] == pytest.approx(4.0)
-        assert durations["idle"] == pytest.approx(1.0)
-        assert trace.end_time() == 5.0
-        assert trace.state_at("p0", 2.5) == "idle"
-        assert trace.state_at("p0", 4.9) == "working"
-        assert trace.state_at("ghost", 1.0) is None
-
-    def test_same_state_transition_is_ignored(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "working", 1.0)
-        trace.finish(2.0)
-        assert len(trace.intervals("p0")) == 1
-
-    def test_cannot_record_after_finish(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.finish(1.0)
-        with pytest.raises(RuntimeError):
-            trace.set_state("p0", "idle", 2.0)
-
-    def test_exports(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p1", "idle", 0.0)
-        trace.finish(1.0)
-        rows = trace.to_rows()
-        assert {row["process"] for row in rows} == {"p0", "p1"}
-        csv = trace.to_csv()
-        assert csv.startswith("process,state,start,end")
-        gantt = trace.ascii_gantt(width=40)
-        assert "p0" in gantt and "p1" in gantt
-
-    def test_empty_gantt(self):
-        assert "empty" in TimelineTrace().ascii_gantt()
-
-
-class TestTimelineTraceEdges:
-    def test_zero_length_interval_is_dropped(self):
-        # Two transitions at the same instant: the zero-length first state
-        # must not produce an interval, and the second state owns the time.
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 1.0)
-        trace.set_state("p0", "recovery", 1.0)
-        trace.finish(2.0)
-        intervals = trace.intervals("p0")
-        assert [i.state for i in intervals] == ["recovery"]
-        assert intervals[0].duration == pytest.approx(1.0)
-
-    def test_finish_at_open_time_drops_zero_length_tail(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "idle", 3.0)
-        trace.finish(3.0)
-        assert [i.state for i in trace.intervals("p0")] == ["working"]
-
-    def test_out_of_order_set_state_does_not_corrupt(self):
-        # A transition stamped *before* the open interval's start must not
-        # emit a negative-duration interval; the new state simply takes
-        # over from its own (earlier) timestamp.
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 5.0)
-        trace.set_state("p0", "idle", 3.0)
-        trace.finish(10.0)
-        intervals = trace.intervals("p0")
-        assert all(i.duration >= 0 for i in intervals)
-        assert [i.state for i in intervals] == ["idle"]
-        assert intervals[0].start == 3.0 and intervals[0].end == 10.0
-
-    def test_csv_round_trip(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "idle", 1.25)
-        trace.set_state("p1", "recovery", 0.5)
-        trace.finish(2.0)
-        rebuilt = TimelineTrace.from_csv(trace.to_csv())
-        assert rebuilt.to_rows() == trace.to_rows()
-        assert rebuilt.processes() == trace.processes()
-        assert rebuilt.end_time() == pytest.approx(trace.end_time())
-        # The rebuilt trace is finished: queries work, recording does not.
-        with pytest.raises(RuntimeError):
-            rebuilt.set_state("p0", "working", 3.0)
-
-    def test_empty_csv_round_trip(self):
-        empty = TimelineTrace()
-        empty.finish(0.0)
-        rebuilt = TimelineTrace.from_csv(empty.to_csv())
-        assert rebuilt.to_rows() == []
-        assert "empty" in rebuilt.ascii_gantt()
