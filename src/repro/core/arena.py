@@ -9,8 +9,8 @@ digested and frozenset-ed O(n) or O(n²) times.  That is the memory and CPU
 wall between the seed engine and the 1k–10k-worker runs the paper targets.
 
 :class:`TrieArena` removes the duplication by *hash-consing* the trie: every
-node is an immutable ``(keys, children)`` pair interned in one shared,
-append-only flat-array arena, so
+node is an immutable ``(keys, children)`` pair interned in one shared
+flat-array arena, so
 
 * two tables (or views) with equal logical content are the **same integer**
   node id — a per-peer view costs O(pointer), not O(table);
@@ -24,6 +24,21 @@ Contraction (the paper's sibling-merge + ancestor-subsumption rewrite) is
 applied *on intern*: an arena node is always in canonical contracted form,
 which is a unique normal form of the completed region — that uniqueness is
 exactly what makes "equal content ⇒ equal id" hold.
+
+Reclamation
+-----------
+Nodes are immutable, and an id names the same node until the next
+:meth:`TrieArena.collect`.  A collection marks every node reachable from the
+roots its caller lists, compacts the survivors towards id 0 (keeping their
+relative order) and drops the rest, together with every memo entry that
+mentions a dropped id; it returns the old→new id map and bumps
+:attr:`TrieArena.epoch`.  Table states are immutable, idempotently mergeable
+versions, so dropping one that no live holder references changes no result.
+Collections run only between simulation events, over the roots of every
+tracker (see :meth:`repro.core.completion.CompletionTracker.arena_roots`).
+A dict-backed ``CodeSet`` shadow the collector cannot see — a frozen view
+riding in a message, say — carries the epoch of its node id and re-derives
+the id from its own (authoritative) trie when the epoch is stale.
 
 :class:`ArenaCodeSet` wraps an arena node id behind the full ``CodeSet``
 API (it *is* a ``CodeSet`` subclass, so ``isinstance`` fast paths keep
@@ -42,7 +57,8 @@ identity tests against them are plain int compares.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from itertools import compress
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .codeset import CodeSet, ContractionStats
 from .encoding import (
@@ -83,8 +99,26 @@ def _keys_to_pairs(keys: Tuple[int, ...]) -> Tuple[Branch, ...]:
     return tuple([(k >> 1, k & 1) for k in keys])
 
 
+_LOW32 = (1 << 32) - 1
+
+
+def _remap_pair_memo(memo: Dict[int, int], remap: List[int]) -> Dict[int, int]:
+    """Remap a ``(a << 32) | b -> result`` memo, dropping reclaimed ids.
+
+    The remap preserves id order, so a merge key's ``a < b`` stays canonical.
+    """
+    out: Dict[int, int] = {}
+    for probe, result in memo.items():
+        a = remap[probe >> 32]
+        b = remap[probe & _LOW32]
+        result = remap[result]
+        if a >= 0 and b >= 0 and result >= 0:
+            out[(a << 32) | b] = result
+    return out
+
+
 class TrieArena:
-    """One shared, append-only arena of interned completion-trie nodes.
+    """One shared arena of interned completion-trie nodes.
 
     Nodes are stored in parallel flat arrays indexed by node id: the sorted
     packed-key tuple, the aligned child-id tuple, and three per-subtree
@@ -92,8 +126,11 @@ class TrieArena:
     relative depth) computed bottom-up at intern time so ``len``/
     ``wire_size``/``max_depth`` of any node are O(1) array reads.
 
-    The arena is append-only and nodes are immutable, so ids handed out once
-    stay valid forever — that is what makes an id a *snapshot*.
+    Nodes are immutable and ids are stable between collections, so an id
+    is a *snapshot* of one table state.  :meth:`collect` reclaims the nodes
+    no listed root reaches; it must run between events, when every holder
+    of an id is either listed as a root (and remapped by the caller) or
+    re-derives its id on seeing a newer :attr:`epoch`.
     """
 
     __slots__ = (
@@ -110,6 +147,7 @@ class TrieArena:
         "_frontier_memo",
         "_merge_memo",
         "_diff_memo",
+        "epoch",
     )
 
     def __init__(self) -> None:
@@ -149,6 +187,9 @@ class TrieArena:
         self._merge_memo: Dict[int, int] = {}
         #: ``(a, b) -> nid of (codes of a not covered by b)``.
         self._diff_memo: Dict[int, int] = {}
+        #: Number of collections so far; an id stamped with an older epoch
+        #: may name a reclaimed (or reused) slot.
+        self.epoch = 0
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -189,6 +230,68 @@ class TrieArena:
         mdepths.append(mdepth)
         digests.append(h)
         return nid
+
+    def collect(self, roots: Iterable[int]) -> List[int]:
+        """Mark-compact: keep the nodes reachable from ``roots``, drop the rest.
+
+        Survivors keep their relative order, so a child (always interned
+        before its parent) still has a lower id than its parent and the
+        node arrays are compacted in place in one ascending pass.  Memo
+        entries whose ids all survive are remapped; the others are dropped.  Returns the map
+        ``old id -> new id`` as a list (``-1`` for a reclaimed node); the
+        caller must apply it to every root it listed.
+        """
+        node_keys = self._keys
+        node_children = self._children
+        n = len(node_keys)
+        live = bytearray(n)
+        live[DONE] = live[EMPTY] = 1
+        stack = [nid for nid in roots if not live[nid]]
+        for nid in stack:
+            live[nid] = 1
+        while stack:
+            for child in node_children[stack.pop()]:
+                if not live[child]:
+                    live[child] = 1
+                    stack.append(child)
+        first_dead = live.find(0)
+        self.epoch += 1
+        if first_dead < 0:
+            return list(range(n))
+        # Below the first dead slot nothing moves; above it, survivors slide
+        # down over the dead slots (each array is rewritten in place from
+        # its survivors) and their child tuples are remapped.
+        kept = list(compress(range(first_dead, n), live[first_dead:]))
+        remap = list(range(first_dead))
+        remap.extend([-1] * (n - first_dead))
+        for new, old in enumerate(kept, first_dead):
+            remap[old] = new
+        lookup = remap.__getitem__
+        node_children[first_dead:] = [
+            tuple(map(lookup, node_children[old])) for old in kept
+        ]
+        arrays = (node_keys, self._count, self._depth_sum, self._max_depth, self._digest)
+        for array in arrays:
+            array[first_dead:] = list(map(array.__getitem__, kept))
+        self._intern = dict(
+            zip(zip(node_keys[2:], node_children[2:]), range(2, len(node_keys)))
+        )
+        self._codes_memo = {
+            remap[nid]: codes for nid, codes in self._codes_memo.items() if remap[nid] >= 0
+        }
+        self._codes_ids = {
+            key: (codes, remap[nid])
+            for key, (codes, nid) in self._codes_ids.items()
+            if remap[nid] >= 0
+        }
+        self._frontier_memo = {
+            remap[nid]: frontier
+            for nid, frontier in self._frontier_memo.items()
+            if remap[nid] >= 0
+        }
+        self._merge_memo = _remap_pair_memo(self._merge_memo, remap)
+        self._diff_memo = _remap_pair_memo(self._diff_memo, remap)
+        return remap
 
     # ------------------------------------------------------------------ #
     # O(1) aggregates

@@ -301,6 +301,7 @@ class CodeSet:
         "_last_valid",
         "_arena",
         "_anid",
+        "_aepoch",
         "_apending",
         "stats",
     )
@@ -354,6 +355,10 @@ class CodeSet:
         #: contraction stats, which the simulation charges time from.
         self._arena = None
         self._anid = _ARENA_EMPTY
+        #: Arena epoch ``_anid`` belongs to.  A collection this set was not
+        #: a root of bumps the arena epoch, and the next read re-derives
+        #: ``_anid`` from the trie.
+        self._aepoch = 0
         #: Novel key paths inserted since the last shadow read — the arena
         #: mirror is batched (see :meth:`_arena_sync`).
         self._apending: List[Tuple[int, ...]] = []
@@ -796,6 +801,7 @@ class CodeSet:
         clone._frontier_cache = self._frontier_cache
         clone._arena = self._arena
         clone._anid = self._anid
+        clone._aepoch = self._aepoch
         # The covers memo is deliberately not shared: the clone is typically
         # about to diverge from the original.
         return clone
@@ -857,6 +863,7 @@ class CodeSet:
                 self._anid = onid
             else:
                 self._anid = arena.node_from_keys(self._iter_completed_keys())
+            self._aepoch = arena.epoch
         return True
 
     # ------------------------------------------------------------------ #
@@ -872,6 +879,7 @@ class CodeSet:
         """
         self._arena = arena
         self._apending.clear()
+        self._aepoch = arena.epoch
         if self._complete:
             self._anid = _ARENA_DONE
         elif self._count:
@@ -887,10 +895,18 @@ class CodeSet:
         pending batch as one small trie and merging it in.  Between gossip
         reads this replaces per-code spine rebuilds (one intern per trie
         level per code) with a single memoised merge.
+
+        A set whose id predates the arena's last collection (it was not a
+        collection root, so nobody remapped it) rebuilds the id from its
+        trie instead: the old id may name a reclaimed or reused node.
         """
+        arena = self._arena
         pend = self._apending
-        if pend:
-            arena = self._arena
+        if self._aepoch != arena.epoch:
+            pend.clear()
+            self._anid = arena.node_from_keys(self._iter_completed_keys())
+            self._aepoch = arena.epoch
+        elif pend:
             if len(pend) == 1:
                 self._anid = arena.insert(self._anid, pend[0])[0]
             else:
@@ -911,6 +927,7 @@ class CodeSet:
         """
         self._apending.clear()
         self._anid = nid
+        self._aepoch = self._arena.epoch
 
     def arena_id(self) -> Optional[int]:
         """Arena node id of the current content (``None`` when no shadow)."""

@@ -580,6 +580,35 @@ class CompletionTracker:
         return changed
 
     # ------------------------------------------------------------------ #
+    # Arena reclamation
+    # ------------------------------------------------------------------ #
+    def arena_roots(self) -> List[int]:
+        """Every arena node id this tracker holds (empty without an arena).
+
+        The table's id, each peer view's known id and each unacknowledged
+        send; pass them to :meth:`TrieArena.collect` and the returned map to
+        :meth:`remap_arena_ids`.
+        """
+        if self.arena is None:
+            return []
+        roots = [self.table._arena_sync()]
+        for view in self._peer_views.values():
+            roots.append(view.known._nid)
+            roots.extend(view.pending.values())
+        return roots
+
+    def remap_arena_ids(self, id_map: List[int]) -> None:
+        """Rewrite the ids :meth:`arena_roots` listed after a collection."""
+        if self.arena is None:
+            return
+        self.table._arena_commit(id_map[self.table._anid])
+        for view in self._peer_views.values():
+            view.known._set_nid(id_map[view.known._nid])
+            pending = view.pending
+            for digest, nid in pending.items():
+                pending[digest] = id_map[nid]
+
+    # ------------------------------------------------------------------ #
     # Queries used by recovery and termination
     # ------------------------------------------------------------------ #
     def is_tree_complete(self) -> bool:

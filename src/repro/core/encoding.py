@@ -27,6 +27,9 @@ that the rest of the library relies on:
 * **Cached wire size** — :meth:`wire_size` computes the byte model (2-byte
   header + 3 bytes per pair) on first request and is an O(1) attribute read
   afterwards.
+* **Shared packed keys** — :meth:`child` caches the child's packed-key tuple
+  as the parent's tuple plus one key, so a root-to-leaf chain of codes holds
+  one int object per level, not one per level per code.
 * **Validation boundary** — branch values are validated only at the public
   constructors (``PathCode(...)``, :meth:`from_pairs`, :meth:`from_bits`,
   :meth:`decode`, :meth:`child`).  Derivation methods that can only produce
@@ -122,8 +125,8 @@ class PathCode:
         already-validated codes.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash(pairs))
+        _set_pairs(self, pairs)
+        _set_hash(self, hash(pairs))
         return self
 
     def _key_path(self) -> Tuple[int, ...]:
@@ -219,7 +222,14 @@ class PathCode:
         """Return the child obtained by branching on ``variable`` with ``value``."""
         if value not in (0, 1):
             raise ValueError(f"branch value must be 0 or 1, got {value!r}")
-        return PathCode._make(self.pairs + ((int(variable), int(value)),))
+        variable = int(variable)
+        value = int(value)
+        child = PathCode._make(self.pairs + ((variable, value),))
+        # Extend the parent's packed keys instead of repacking every pair:
+        # the child shares the parent's key ints (most keys exceed the
+        # small-int cache, so a repack would allocate one int per level).
+        _set_keys(child, self._key_path() + ((variable << 1) | value,))
+        return child
 
     def children(self, variable: int) -> Tuple["PathCode", "PathCode"]:
         """Return both children obtained by branching on ``variable``."""
@@ -371,6 +381,13 @@ class PathCode:
     def __repr__(self) -> str:  # pragma: no cover - repr formatting only
         return f"PathCode({self.encode()})"
 
+
+#: Slot setters for the constructors: they bypass the immutability guard
+#: in ``PathCode.__setattr__`` and, unlike ``object.__setattr__``, skip the
+#: by-name attribute lookup.
+_set_pairs = PathCode.pairs.__set__
+_set_hash = PathCode._hash.__set__
+_set_keys = PathCode._keys.__set__
 
 #: The code of the root problem.
 ROOT = PathCode()

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+#: Arena size below which no collection runs.  Above it, the arena is
+#: collected once it holds twice the nodes the last collection kept.
+_ARENA_COLLECT_FLOOR = 8192
+
+
 def worker_names(n: int, prefix: str = "worker") -> List[str]:
     """Canonical worker names (``worker-00``, ``worker-01``, …)."""
     width = max(2, len(str(max(0, n - 1))))
@@ -98,6 +103,12 @@ class DistributedBnBSimulation:
         self.engine: Optional[SimulationEngine] = None
         self.net: Optional[Network] = None
         self.workers: List[WorkerEntity] = []
+        #: The run's shared completion-trie arena and its collection state.
+        self.arena: Optional[TrieArena] = None
+        self._collect_above = _ARENA_COLLECT_FLOOR
+        self._arena_collections = 0
+        self._arena_reclaimed = 0
+        self._arena_peak = 0
         #: Persistent scan position for :meth:`_stop_condition` (see there).
         self._stop_scan = 0
         self.metrics = MetricsCollector()
@@ -150,6 +161,7 @@ class DistributedBnBSimulation:
         # its per-peer gossip views intern their trie nodes here, so shared
         # completion state is stored once instead of once per view.
         arena = TrieArena()
+        self.arena = arena
         self.workers = []
         self._stop_scan = 0
         for index, name in enumerate(names):
@@ -183,7 +195,34 @@ class DistributedBnBSimulation:
         # otherwise-monotone stop scan from the beginning.
         self._stop_scan = 0
 
+    def _collect_arena(self) -> None:
+        """Reclaim the arena nodes no worker's tracker still references.
+
+        Runs between events (from :meth:`_stop_condition`), when every live
+        id sits in some worker's tracker — crashed and departed workers'
+        included, since a suspend-mode churn return resumes with its state —
+        or in a dict-backed set that re-derives its id on the epoch bump.
+        """
+        arena = self.arena
+        size = len(arena)
+        trackers = [worker.tracker for worker in self.workers]
+        roots: List[int] = []
+        for tracker in trackers:
+            roots.extend(tracker.arena_roots())
+        id_map = arena.collect(roots)
+        for tracker in trackers:
+            tracker.remap_arena_ids(id_map)
+        survivors = len(arena)
+        self._arena_collections += 1
+        self._arena_reclaimed += size - survivors
+        self._arena_peak = max(self._arena_peak, size)
+        self._collect_above = max(_ARENA_COLLECT_FLOOR, 2 * survivors)
+
     def _stop_condition(self) -> bool:
+        # Between events no handler holds an arena id, so this is where the
+        # arena is collected.
+        if len(self.arena) > self._collect_above:
+            self._collect_arena()
         # Evaluated after every event, so the naive all()-scan would cost
         # O(workers) per event.  "Dead or terminated" is monotone — a worker
         # that passed the test once passes it forever — so scanning resumes
@@ -279,6 +318,9 @@ class DistributedBnBSimulation:
             "events_processed": self.engine.events_processed,
             "peak_heap_len": self.engine.peak_heap_len,
             "compactions": self.engine.compactions,
+            "arena_collections": self._arena_collections,
+            "arena_nodes_reclaimed": self._arena_reclaimed,
+            "arena_peak_nodes": max(self._arena_peak, len(self.arena)),
         }
         entity_steps = 0
         for worker in workers:

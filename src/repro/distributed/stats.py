@@ -155,7 +155,9 @@ class RunResult:
     #: delta-gossip benchmark compares the table-dissemination family here.
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Engine-level scale counters: ``events_processed``, ``peak_heap_len``,
-    #: ``compactions`` and ``entity_steps``.
+    #: ``compactions``, ``entity_steps``, and the trie arena's
+    #: ``arena_collections``, ``arena_nodes_reclaimed`` and
+    #: ``arena_peak_nodes``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: Collected run telemetry (a :class:`repro.obs.Telemetry`) when the run
     #: was started with a telemetry config; ``None`` otherwise.  With

@@ -5,8 +5,9 @@ knows the shapes of the codebase's scattered counters and folds each of them
 in under stable metric names:
 
 * ``engine_*`` — the engine-level scale counters
-  (``RunResult.engine_counters``: events, peak heap, compactions and
-  entity steps);
+  (``RunResult.engine_counters``: events, peak heap, compactions, entity
+  steps and the completion-trie arena's collections, reclaimed nodes and
+  peak node count);
 * ``net_*`` — the simulated network's
   :class:`~repro.simulation.network.TrafficStats` plus the per-kind byte and
   message maps (labeled ``kind=...``);
@@ -64,7 +65,7 @@ _WORKER_COUNTERS = (
 )
 
 #: Engine counters that are high-water marks, not sums.
-_ENGINE_GAUGES = ("peak_heap_len",)
+_ENGINE_GAUGES = ("peak_heap_len", "arena_peak_nodes")
 
 
 def ingest_engine_counters(

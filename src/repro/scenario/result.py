@@ -95,7 +95,9 @@ class ScenarioResult:
     #: Normalised per-worker statistics.
     workers: Dict[str, WorkerSummary] = field(default_factory=dict)
     #: Engine-level scale counters (simulated backend): ``events_processed``,
-    #: ``peak_heap_len``, ``compactions`` and ``entity_steps``.
+    #: ``peak_heap_len``, ``compactions``, ``entity_steps`` and the trie
+    #: arena's ``arena_collections``, ``arena_nodes_reclaimed`` and
+    #: ``arena_peak_nodes``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: The backend-native result object (RunResult, CentralRunResult, …).
     raw: object = None

@@ -8,7 +8,9 @@ the per-``add`` :class:`~repro.core.codeset.ContractionStats` deltas, which
 the simulation charges contraction time from.
 
 The suites run well over 1,000 distinct seeded streams in total; the main
-insert-stream pin alone covers 1,000.
+insert-stream pin alone covers 1,000.  :class:`TestCollection` interleaves
+mark-compact collections into such streams and re-checks every held state
+against the reference after each one.
 """
 
 import random
@@ -295,3 +297,180 @@ class TestTrackerWithArena:
             tracker.record_completed(random_code(random.Random(seed)))
         tracker.note_peer_converged("peer")
         assert tracker.peer_view("peer").known._nid == tracker.table._anid
+
+
+def reference_diff(a: CodeSet, b: CodeSet) -> frozenset:
+    """Codes of ``a`` that ``b`` does not cover (the delta ``a`` ships)."""
+    return frozenset(code for code in a.codes() if not b.covers(code))
+
+
+class TestCollection:
+    """Mark-compact collection keeps every held state observably intact."""
+
+    def _check_held(self, arena, held, rng):
+        __tracebackhide__ = True
+        for ref, cut in held:
+            nid = cut._nid
+            assert arena.codes_at(nid) == ref.codes()
+            assert arena.digest(nid) == table_digest(ref.codes())
+            assert arena.frontier_at(nid) == ref.missing_frontier()
+            assert arena.count(nid) == len(ref)
+            assert arena.wire_size(nid) == ref.wire_size()
+            for _ in range(5):
+                probe = random_code(rng)
+                assert cut.covers(probe) == ref.covers(probe)
+            # The intern map survived compaction: rebuilding the content
+            # from scratch lands on the very same (remapped) id.
+            assert arena.node_from_keys(ref._iter_completed_keys()) == nid
+        for (ref_a, cut_a), (ref_b, cut_b) in zip(held, held[1:] + held[:1]):
+            assert arena.diff(cut_a._nid, cut_b._nid) == reference_diff(ref_a, ref_b)
+
+    def test_streams_with_interleaved_collections(self):
+        """300 seeded streams of adds, merges, diffs and collections."""
+        arena = TrieArena()  # shared across streams, as in production
+        collections = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            held = [(CodeSet(), ArenaCodeSet(arena)) for _ in range(rng.randint(2, 4))]
+            for _step in range(rng.randint(10, 40)):
+                action = rng.random()
+                ref, cut = rng.choice(held)
+                if action < 0.55:
+                    code = random_code(rng)
+                    assert cut.add(code) == ref.add(code)
+                elif action < 0.75:
+                    ref_b, cut_b = rng.choice(held)
+                    assert cut.merge(cut_b) == ref.merge(ref_b)
+                elif action < 0.85:
+                    # Populate the diff and frontier memos so collections
+                    # have dead and live entries to sort out.
+                    _ref_b, cut_b = rng.choice(held)
+                    arena.diff(cut._nid, cut_b._nid)
+                    arena.frontier_at(cut._nid)
+                else:
+                    size = len(arena)
+                    epoch = arena.epoch
+                    id_map = arena.collect(cut._nid for _ref, cut in held)
+                    assert arena.epoch == epoch + 1
+                    assert len(id_map) == size
+                    for _ref, cut in held:
+                        cut._set_nid(id_map[cut._nid])
+                    collections += 1
+                    self._check_held(arena, held, rng)
+            for ref, cut in held:
+                assert_observably_equal(ref, cut, rng)
+        assert collections > 300
+
+    def test_collect_keeps_exactly_the_reachable_nodes(self):
+        arena = TrieArena()
+        kept = ArenaCodeSet(
+            arena, [PathCode.from_bits([0, 0, 1]), PathCode.from_bits([0, 1, 0, 1])]
+        )
+        dropped = ArenaCodeSet(
+            arena, [PathCode.from_bits([1, 1, 0]), PathCode.from_bits([1, 0, 0, 1])]
+        )
+        expected = kept.codes()
+        id_map = arena.collect([kept._nid])
+        kept._set_nid(id_map[kept._nid])
+        assert id_map[DONE] == DONE and id_map[EMPTY] == EMPTY
+        assert id_map[dropped._nid] == -1
+        assert kept.codes() == expected
+        # Only the kept trie (plus the sentinels) is left, and it is
+        # compacted: every id is below the arena size.
+        reachable = {DONE, EMPTY}
+        stack = [kept._nid]
+        while stack:
+            nid = stack.pop()
+            if nid not in reachable:
+                reachable.add(nid)
+                stack.extend(arena._children[nid])
+        assert reachable == set(range(len(arena)))
+        # A collection with nothing to reclaim maps every id to itself.
+        assert arena.collect([kept._nid]) == list(range(len(arena)))
+
+    def test_codes_frozenset_of_a_reclaimed_node_is_no_longer_recognised(self):
+        arena = TrieArena()
+        gone = ArenaCodeSet(arena, [PathCode.from_bits([0, 1, 1]), PathCode.from_bits([1, 0])])
+        alive = ArenaCodeSet(arena, [PathCode.from_bits([1, 1])])
+        gone_codes, alive_codes = gone.codes(), alive.codes()
+        id_map = arena.collect([alive._nid])
+        alive._set_nid(id_map[alive._nid])
+        assert arena.node_for_codes(alive_codes) == alive._nid
+        assert arena.node_for_codes(gone_codes) is None
+        # The per-code fallback still resolves it (and re-registers it).
+        rebuilt = arena.node_from_codes(gone_codes)
+        assert arena.codes_at(rebuilt) == gone_codes
+        assert arena.node_for_codes(gone_codes) == rebuilt
+
+    def test_unrooted_dict_copy_rederives_instead_of_reading_a_reused_id(self):
+        arena = TrieArena()
+        table = CodeSet([PathCode.from_bits([0, 0, 1]), PathCode.from_bits([0, 1])])
+        table.attach_arena(arena)
+        snapshot = table.frozen_view()  # a dict copy nobody will list as a root
+        old_id = snapshot._anid
+        expected = snapshot.codes()
+        table.add(PathCode.from_bits([1, 1, 0]))
+        id_map = arena.collect([table._arena_sync()])
+        table._arena_commit(id_map[table._anid])
+        assert id_map[old_id] == -1
+        # Intern fresh content until the reclaimed slot is reused.
+        other = ArenaCodeSet(arena)
+        rng = random.Random(3)
+        while len(arena) <= old_id:
+            other.add(random_code(rng))
+        assert arena.codes_at(old_id) != expected  # the stale id now lies
+        assert snapshot._aepoch != arena.epoch
+        nid = snapshot.arena_id()
+        assert snapshot._aepoch == arena.epoch
+        assert arena.codes_at(nid) == expected
+        # Adopting the stale view goes through the same re-derivation.
+        joiner = CodeSet()
+        joiner.attach_arena(arena)
+        joiner.adopt_from(snapshot, expected)
+        assert arena.codes_at(joiner.arena_id()) == expected
+
+    def test_trackers_match_reference_across_collections(self):
+        """Tracker roots and remaps keep digests, deltas and acks exact."""
+        for seed in range(100):
+            rng = random.Random(seed)
+            arena = TrieArena()
+            plain = [CompletionTracker(f"w{i}", report_threshold=3) for i in range(3)]
+            shared = [
+                CompletionTracker(f"w{i}", report_threshold=3, arena=arena) for i in range(3)
+            ]
+            for step in range(rng.randint(20, 60)):
+                action = rng.random()
+                i = rng.randrange(3)
+                j = (i + rng.randrange(1, 3)) % 3
+                if action < 0.4:
+                    code = random_code(rng)
+                    plain[i].record_completed(code, now=float(step))
+                    shared[i].record_completed(code, now=float(step))
+                elif action < 0.7:
+                    deltas = [t.build_delta_snapshot(f"w{j}") for t in (plain[i], shared[i])]
+                    assert deltas[0].codes == deltas[1].codes
+                    assert deltas[0].full_digest == deltas[1].full_digest
+                    acked = rng.random() < 0.7  # a lost ack leaves the send pending
+                    for trackers, delta in zip((plain, shared), deltas):
+                        trackers[j].merge_delta(delta)
+                        trackers[j].note_peer_covers(f"w{i}", delta.codes)
+                        if acked:
+                            trackers[i].note_snapshot_ack(f"w{j}", delta.full_digest)
+                elif action < 0.85:
+                    roots = [nid for t in shared for nid in t.arena_roots()]
+                    id_map = arena.collect(roots)
+                    for t in shared:
+                        t.remap_arena_ids(id_map)
+                else:
+                    plain[i].note_peer_converged(f"w{j}")
+                    shared[i].note_peer_converged(f"w{j}")
+                for a, b in zip(plain, shared):
+                    assert a.table_digest_now() == b.table_digest_now()
+            for a, b in zip(plain, shared):
+                assert a.table.codes() == b.table.codes()
+                assert a.missing_subtrees() == b.missing_subtrees()
+                for peer in ("w0", "w1", "w2"):
+                    assert (
+                        a.build_delta_snapshot(peer).codes
+                        == b.build_delta_snapshot(peer).codes
+                    )

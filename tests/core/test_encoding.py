@@ -1,5 +1,7 @@
 """Unit tests for the subproblem path encoding."""
 
+import random
+
 import pytest
 
 from repro.core.encoding import ROOT, PathCode
@@ -44,6 +46,23 @@ class TestConstruction:
 
 
 class TestRelations:
+    def test_child_keys_extend_the_parent_keys(self):
+        """``child`` caches packed keys equal to a repack of ``pairs``."""
+        for seed in range(50):
+            rng = random.Random(seed)
+            code = ROOT
+            for _ in range(rng.randint(1, 40)):
+                parent = code
+                # Variables of 128 and up pack to keys above the small-int
+                # cache, the case where sharing the parent's ints matters.
+                code = code.child(rng.randint(128, 5000), rng.randint(0, 1))
+                expected = tuple((var << 1) | val for var, val in code.pairs)
+                assert code._keys == expected
+                assert code._keys[:-1] == parent._keys
+                assert all(a is b for a, b in zip(code._keys, parent._keys))
+                assert code == PathCode(code.pairs)
+                assert hash(code) == hash(PathCode(code.pairs))
+
     def test_parent_of_root_is_none(self):
         assert ROOT.parent() is None
         assert ROOT.sibling() is None

@@ -168,6 +168,9 @@ class TestRunnerConstruction:
             "peak_heap_len",
             "compactions",
             "entity_steps",
+            "arena_collections",
+            "arena_nodes_reclaimed",
+            "arena_peak_nodes",
         }
 
     def test_engine_counters_deterministic_given_seed(self):

@@ -58,6 +58,14 @@ class TestSimulatedTelemetry:
         assert snapshot["counters"]["engine_entity_steps"] == engine["entity_steps"]
         assert snapshot["counters"]["engine_compactions"] == engine["compactions"]
         assert snapshot["gauges"]["engine_peak_heap_len"]["value"] == engine["peak_heap_len"]
+        # The arena's reclamation counters: two sums and a high-water mark.
+        assert snapshot["counters"]["engine_arena_collections"] == engine["arena_collections"]
+        assert (
+            snapshot["counters"]["engine_arena_nodes_reclaimed"]
+            == engine["arena_nodes_reclaimed"]
+        )
+        assert snapshot["gauges"]["engine_arena_peak_nodes"]["value"] == engine["arena_peak_nodes"]
+        assert engine["arena_peak_nodes"] > 0
 
     def test_metrics_only_config_skips_tracer(self):
         result = run_scenario(
